@@ -95,6 +95,9 @@ class Event:
 
 
 def _require_keys(doc: dict, required: set[str], optional: set[str], where: str) -> None:
+    """Check that ``doc`` is a JSON object with exactly the allowed keys."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
     keys = set(doc)
     missing = required - keys
     unknown = keys - required - optional
@@ -106,8 +109,6 @@ def _require_keys(doc: dict, required: set[str], optional: set[str], where: str)
 
 def parse_event(doc: dict) -> Event:
     """Build an Event from its JSON document form.  Unknown keys error."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"event must be an object, got {type(doc).__name__}")
     _require_keys(doc, {"id", "terms"}, set(), "event")
     terms = []
     for i, term in enumerate(doc["terms"]):
@@ -280,28 +281,16 @@ def theory_limit(event: Event, params: LimitLawParams) -> float | None:
 
     if order and not counts and not locs:
         spec = _order_stat_levels(order)
-        if spec is None:
+        if spec is None or len(spec) == 3:
             return None
-        have = frozenset(spec)
-        if have == {"observed"}:
-            k, x = spec["observed"]
-            return limit_laws.order_stats_obs_missed_cdf(params, k, 1, x, math.inf)
-        if have == {"missed"}:
-            l, y = spec["missed"]
-            return limit_laws.order_stats_obs_missed_cdf(params, 1, l, math.inf, y)
-        if have == {"all"}:
-            m, y = spec["all"]
-            return limit_laws.order_stats_vs_all_cdf(params, "observed", 1, m, math.inf, y)
-        if have == {"observed", "missed"}:
-            (k, x), (l, y) = spec["observed"], spec["missed"]
+        # an absent class is the dropped constraint (rank 1 at +inf)
+        unconstrained = (1, math.inf)
+        if "all" not in spec:
+            (k, x), (l, y) = spec.get("observed", unconstrained), spec.get("missed", unconstrained)
             return limit_laws.order_stats_obs_missed_cdf(params, k, l, x, y)
-        if have == {"observed", "all"}:
-            (k, x), (m, y) = spec["observed"], spec["all"]
-            return limit_laws.order_stats_vs_all_cdf(params, "observed", k, m, x, y)
-        if have == {"missed", "all"}:
-            (l, x), (m, y) = spec["missed"], spec["all"]
-            return limit_laws.order_stats_vs_all_cdf(params, "missed", l, m, x, y)
-        return None
+        which = "missed" if "missed" in spec else "observed"
+        (k, x), (m, y) = spec.get(which, unconstrained), spec["all"]
+        return limit_laws.order_stats_vs_all_cdf(params, which, k, m, x, y)
 
     if counts and not order and not locs:
         cells = _void_cells(counts)

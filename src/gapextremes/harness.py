@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, GapExtremesError
 from .events import CompiledEvents, Event, parse_event, theory_finite_n, theory_limit
+from .events import _require_keys
 from .gaussian import FAMILIES, CovarianceSpec, GaussianModel, build_model, sample_path
 from .lambdalaw import LambdaLaw
 from .limit_laws import LimitLawParams
@@ -63,14 +64,6 @@ CSV_COLUMNS = (
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-def _require_keys(doc: dict, required: set[str], optional: set[str], where: str) -> None:
-    keys = set(doc)
-    if keys - required - optional:
-        raise ConfigError(f"{where}: unknown keys {sorted(keys - required - optional)}")
-    if required - keys:
-        raise ConfigError(f"{where}: missing keys {sorted(required - keys)}")
 
 
 def parse_lambda_law(doc: dict) -> LambdaLaw:
@@ -137,9 +130,17 @@ class ExperimentConfig:
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Validate a configuration document.  Unknown keys are errors."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+    """Validate a configuration document.  Unknown keys are errors, and so
+    are values of the wrong JSON type or that do not convert."""
+    try:
+        return _parse_config(doc)
+    except GapExtremesError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed value: {exc}") from exc
+
+
+def _parse_config(doc: dict) -> ExperimentConfig:
     _require_keys(
         doc,
         {"model", "missingness", "targets", "reps", "master_seed"},
@@ -250,11 +251,18 @@ def compare_estimates(
     est: EstimateRecord, theory: float, sigma_threshold: float = 4.0
 ) -> tuple[float, bool]:
     """z-score of the estimate against a theoretical probability and the
-    pass flag at the sigma threshold."""
+    pass flag at the sigma threshold.
+
+    The z-score uses the standard error under the tested value,
+    sqrt(theory (1 - theory) / reps), which stays positive when the
+    estimate sits at 0 or 1; it is infinite only when the theory is 0 or 1
+    and the estimate differs from it.
+    """
     if not 0.0 <= theory <= 1.0:
         raise ConfigError(f"theory value must lie in [0,1], got {theory}")
-    if est.se > 0.0:
-        z = (est.p_hat - theory) / est.se
+    se = math.sqrt(theory * (1.0 - theory) / est.reps)
+    if se > 0.0:
+        z = (est.p_hat - theory) / se
     else:
         z = 0.0 if est.p_hat == theory else math.inf
     return z, abs(z) <= sigma_threshold
@@ -354,29 +362,37 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        """Strict JSON: non-finite numbers are written as null."""
+        rows = [
+            {
+                "event_id": row.event_id,
+                "n": row.n,
+                "gamma": row.gamma,
+                "lambda_law": row.lambda_law,
+                "reps": row.reps,
+                "p_hat": row.p_hat,
+                "se": row.se,
+                "theory_limit": row.theory_limit,
+                "theory_finite_n": row.theory_finite_n,
+                "z_limit": row.z_limit,
+                "z_finite_n": row.z_finite_n,
+                "pass": row.passed,
+                "config_hash": self.config_hash,
+            }
+            for row in self.rows
+        ]
         payload = {
             "config_hash": self.config_hash,
-            "sigma": self.sigma,
-            "rows": [
-                {
-                    "event_id": row.event_id,
-                    "n": row.n,
-                    "gamma": row.gamma,
-                    "lambda_law": row.lambda_law,
-                    "reps": row.reps,
-                    "p_hat": row.p_hat,
-                    "se": row.se,
-                    "theory_limit": row.theory_limit,
-                    "theory_finite_n": row.theory_finite_n,
-                    "z_limit": row.z_limit,
-                    "z_finite_n": row.z_finite_n,
-                    "pass": row.passed,
-                    "config_hash": self.config_hash,
-                }
-                for row in self.rows
-            ],
+            "sigma": _json_number(self.sigma),
+            "rows": [{key: _json_number(value) for key, value in row.items()} for row in rows],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _json_number(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _fmt(value: float | None) -> str:

@@ -9,9 +9,11 @@ Poisson with intensities ``lam * g`` and ``(1 - lam) * g``, where
     g(x, z) = exp(-x - gamma + sqrt(2 gamma) z)
 
 is the limiting mean number of exceedances of level u_n(x) given xi = z.
-All evaluators therefore reduce to expectations of products of Poisson
-probabilities, contracted against the quadrature rules and auto-refined
-until stable (see quadrature.converge).
+Every limit evaluator is thus an expectation of a product of Poisson
+probabilities: it validates its arguments and hands an integrand
+``f(lam, g)`` to one kernel, ``_mixed_poisson``, which alone contracts it
+against the quadrature rules, refines until stable (quadrature.converge)
+and clips to [0, 1].  The exact finite-n identity keeps its own integral.
 
 Level arguments accept +inf to drop the corresponding constraint.
 """
@@ -87,6 +89,16 @@ def _clip_prob(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _mixed_poisson(params: LimitLawParams, integrand) -> float:
+    """E over (lambda, xi) of ``integrand(lam, g)``, with ``lam`` the
+    fraction column and ``g(level)`` the intensity at the factor nodes."""
+
+    def evaluate(rule: QuadratureRule) -> float:
+        return rule.expect(integrand(rule.lam_col, lambda x: g_intensity(params.gamma, x, rule.z)))
+
+    return _clip_prob(converge(params.lambda_law, evaluate))
+
+
 def joint_maxima_cdf(params: LimitLawParams, x: float, y: float) -> float:
     """Limit of P(observed max <= u_n(x), missed max <= u_n(y))."""
     return order_stats_obs_missed_cdf(params, 1, 1, x, y)
@@ -102,15 +114,10 @@ def order_stats_obs_missed_cdf(
     """
     if k < 1 or l < 1:
         raise InvalidParameterError(f"order statistic ranks must be >= 1, got k={k}, l={l}")
-
-    def evaluate(rule: QuadratureRule) -> float:
-        lam = rule.lam_col
-        gx = g_intensity(params.gamma, x, rule.z)
-        gy = g_intensity(params.gamma, y, rule.z)
-        grid = _poisson_cdf(k - 1, lam * gx) * _poisson_cdf(l - 1, (1.0 - lam) * gy)
-        return rule.expect(grid)
-
-    return _clip_prob(converge(params.lambda_law, evaluate))
+    return _mixed_poisson(
+        params,
+        lambda lam, g: _poisson_cdf(k - 1, lam * g(x)) * _poisson_cdf(l - 1, (1.0 - lam) * g(y)),
+    )
 
 
 def order_stats_vs_all_cdf(
@@ -119,43 +126,27 @@ def order_stats_vs_all_cdf(
     """Limit of P(k-th class max <= u_n(x), m-th overall max <= u_n(y))
     for ``which`` in {"observed", "missed"}.
 
-    The two level orderings need different decompositions of the overall
-    count; both branches agree at x = y.
+    Given the i class exceedances above the higher level (mean f g_top,
+    f the class fraction, g_top = min(g_x, g_y)), the class exceedances
+    left above x and all others above y are independent Poisson counts.
     """
     if which not in ("observed", "missed"):
         raise InvalidParameterError(f"class must be observed or missed, got {which!r}")
     if k < 1 or m < 1:
         raise InvalidParameterError(f"ranks must be >= 1, got k={k}, m={m}")
 
-    def evaluate(rule: QuadratureRule) -> float:
-        lam = rule.lam_col
+    def integrand(lam, g):
         frac = lam if which == "observed" else 1.0 - lam
-        other = 1.0 - frac
-        gx = g_intensity(params.gamma, x, rule.z)
-        gy = g_intensity(params.gamma, y, rule.z)
-        total = np.zeros((rule.lam.size, rule.z.size))
-        if x < y:
-            # class counts at the two levels are nested upward from level y
-            pmf_other = [_poisson_pmf(t, other * gy) for t in range(m)]
-            pmf_base = [_poisson_pmf(i, frac * gy) for i in range(m)]
-            pmf_gap = [_poisson_pmf(d, frac * (gx - gy)) for d in range(k)]
-            for t in range(m):
-                for i in range(m - t):
-                    for j in range(i, k):
-                        total += pmf_other[t] * pmf_base[i] * pmf_gap[j - i]
-        else:
-            # level x is the higher one; survival factors of both classes at
-            # level y combine into exp(-g(y, z))
-            pmf_other = [_poisson_pmf(t, other * gy) for t in range(m)]
-            pmf_top = [_poisson_pmf(j, frac * gx) for j in range(min(k, m))]
-            pmf_gap = [_poisson_pmf(d, frac * (gy - gx)) for d in range(m)]
-            for t in range(m):
-                for i in range(m - t):
-                    for j in range(0, min(i, k - 1) + 1):
-                        total += pmf_other[t] * pmf_top[j] * pmf_gap[i - j]
-        return rule.expect(total)
+        gx, gy = g(x), g(y)
+        g_top = np.minimum(gx, gy)
+        return sum(
+            _poisson_pmf(i, frac * g_top)
+            * _poisson_cdf(k - 1 - i, frac * (gx - g_top))
+            * _poisson_cdf(m - 1 - i, gy - frac * g_top)
+            for i in range(min(k, m))
+        )
 
-    return _clip_prob(converge(params.lambda_law, evaluate))
+    return _mixed_poisson(params, integrand)
 
 
 def joint_counts_pmf(
@@ -190,20 +181,17 @@ def joint_counts_pmf(
         lo_level, hi_level = x, y
         obs_hi, obs_lo, mis_hi, mis_lo = k3, k1, k4, k2
 
-    def evaluate(rule: QuadratureRule) -> float:
-        lam = rule.lam_col
-        g_hi = g_intensity(params.gamma, hi_level, rule.z)
-        g_lo = g_intensity(params.gamma, lo_level, rule.z)
-        gap = g_lo - g_hi
-        grid = (
+    def integrand(lam, g):
+        g_hi = g(hi_level)
+        gap = g(lo_level) - g_hi
+        return (
             _poisson_pmf(obs_hi, lam * measure * g_hi)
             * _poisson_pmf(obs_lo - obs_hi, lam * measure * gap)
             * _poisson_pmf(mis_hi, (1.0 - lam) * measure * g_hi)
             * _poisson_pmf(mis_lo - mis_hi, (1.0 - lam) * measure * gap)
         )
-        return rule.expect(grid)
 
-    return _clip_prob(converge(params.lambda_law, evaluate))
+    return _mixed_poisson(params, integrand)
 
 
 def void_probability_intervals(params: LimitLawParams, cells) -> float:
@@ -221,17 +209,10 @@ def void_probability_intervals(params: LimitLawParams, cells) -> float:
         raise InvalidParameterError(
             f"cell measures must be positive with total <= 1, got total {total_measure}"
         )
-
-    def evaluate(rule: QuadratureRule) -> float:
-        lam = rule.lam_col
-        exponent = np.zeros((rule.lam.size, rule.z.size))
-        for w, x, y in cells:
-            gx = g_intensity(params.gamma, x, rule.z)
-            gy = g_intensity(params.gamma, y, rule.z)
-            exponent += w * (lam * gx + (1.0 - lam) * gy)
-        return rule.expect(np.exp(-exponent))
-
-    return _clip_prob(converge(params.lambda_law, evaluate))
+    return _mixed_poisson(
+        params,
+        lambda lam, g: np.exp(-sum(w * (lam * g(x) + (1.0 - lam) * g(y)) for w, x, y in cells)),
+    )
 
 
 def finite_n_one_factor_prob(n: int, gamma: float, cells) -> float:
@@ -295,23 +276,15 @@ def locations_heights_cdf(
     if x > y:
         raise InvalidParameterError(f"pair {pair} is defined for x <= y only, got x={x} > y={y}")
 
-    def evaluate_joint(rule: QuadratureRule) -> float:
-        lam = rule.lam_col
+    def integrand(lam, g):
         frac = lam if pair == "obs_all" else 1.0 - lam
-        gx = g_intensity(params.gamma, x, rule.z)
-        gy = g_intensity(params.gamma, y, rule.z)
-        return rule.expect(np.exp(-(frac * gx + (1.0 - frac) * gy)))
-
-    def evaluate_race(rule: QuadratureRule) -> float:
+        gx = g(x)
+        joint = np.exp(-(frac * gx + (1.0 - frac) * g(y)))
         # P(the pair's class carries the overall max and it is <= u_n(x))
-        lam = rule.lam_col
-        frac = lam if pair == "obs_all" else 1.0 - lam
-        gx = g_intensity(params.gamma, x, rule.z)
-        return rule.expect(frac * np.exp(-gx))
+        race = frac * np.exp(-gx)
+        return s * t * (joint - race) + min(s, t) * race
 
-    joint = converge(params.lambda_law, evaluate_joint)
-    race = converge(params.lambda_law, evaluate_race)
-    return _clip_prob(s * t * (joint - race) + min(s, t) * race)
+    return _mixed_poisson(params, integrand)
 
 
 def locations_cdf(lambda_law: LambdaLaw, pair: str, s: float, t: float) -> float:

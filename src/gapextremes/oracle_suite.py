@@ -9,11 +9,11 @@ checked quantity.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .harness import compare_estimates, estimate_from_count
 from .lambdalaw import LambdaLaw
 from .limit_laws import (
     LimitLawParams,
@@ -37,13 +37,10 @@ class CheckRow:
     passed: bool
 
 
-def _check(check_id: str, emp: float, theory: float, n: int, sigma: float) -> CheckRow:
-    se = math.sqrt(theory * (1.0 - theory) / n)
-    if se > 0.0:
-        z = (emp - theory) / se
-    else:
-        z = 0.0 if emp == theory else math.inf
-    return CheckRow(check_id, n, emp, theory, z, abs(z) <= sigma)
+def _check(check_id: str, hits: int, theory: float, n: int, sigma: float) -> CheckRow:
+    est = estimate_from_count(check_id, hits, n)
+    z, passed = compare_estimates(est, theory, sigma)
+    return CheckRow(check_id, n, est.p_hat, theory, z, passed)
 
 
 #: (gamma, lambda law, family measure) — covers every gamma, law and
@@ -102,7 +99,7 @@ def counts_suite(
             rows.append(
                 _check(
                     f"counts[{label}]({k1},{k2},{k3},{k4})",
-                    hits / samples,
+                    int(hits),
                     theory,
                     samples,
                     sigma,
@@ -133,10 +130,10 @@ def maxima_suite(
         for t in MAXIMA_ST_GRID:
             for x in MAXIMA_XY_GRID:
                 for y in MAXIMA_XY_GRID:
-                    emp = float(np.mean(s_hits[s] & t_hits[t] & x_hits[x] & y_hits[y]))
+                    hits = np.count_nonzero(s_hits[s] & t_hits[t] & x_hits[x] & y_hits[y])
                     theory = locations_heights_cdf(params, "obs_missed", s, t, x, y)
                     rows.append(
-                        _check(f"heights({s},{t},{x},{y})", emp, theory, samples, sigma)
+                        _check(f"heights({s},{t},{x},{y})", hits, theory, samples, sigma)
                     )
 
     overall_loc = batch.overall_loc
@@ -148,7 +145,7 @@ def maxima_suite(
     for pair, (first, second) in pair_locs.items():
         for s in MAXIMA_ST_GRID:
             for t in MAXIMA_ST_GRID:
-                emp = float(np.mean((first <= s) & (second <= t)))
+                hits = np.count_nonzero((first <= s) & (second <= t))
                 theory = locations_cdf(params.lambda_law, pair, s, t)
-                rows.append(_check(f"locations[{pair}]({s},{t})", emp, theory, samples, sigma))
+                rows.append(_check(f"locations[{pair}]({s},{t})", hits, theory, samples, sigma))
     return rows

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 
@@ -82,6 +83,27 @@ def test_config_errors_exit_2(tmp_path):
     doc["mystery"] = True
     unknown.write_text(json.dumps(doc))
     assert main(["verify", "--config", str(unknown), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.update(model=5),
+        lambda d: d.update(missingness={"kind": "exchangeable", "lambda_law": 3}),
+        lambda d: d["targets"][0].update(terms=5),
+        lambda d: d["targets"][0]["terms"][0].update(k="a"),
+        lambda d: d["model"].update(gamma="a"),
+        lambda d: d.update(reps="x"),
+    ],
+    ids=["model", "lambda_law", "terms", "k", "gamma", "reps"],
+)
+def test_malformed_config_values_exit_2(tmp_path, capsys, mutate):
+    doc = copy.deepcopy(CONFIG)
+    mutate(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_verify_fails_with_exit_1(tmp_path):

@@ -7,6 +7,8 @@ import pytest
 
 from gapextremes.errors import ConfigError
 from gapextremes.harness import (
+    ComparisonReport,
+    ReportRow,
     compare_estimates,
     config_hash,
     estimate_event_probability,
@@ -121,15 +123,33 @@ def test_compare_examples():
     rec = estimate_from_count("e", 500, 1000)
     z, ok = compare_estimates(rec, rec.p_hat, 4.0)
     assert z == 0.0 and ok
-    # just inside the threshold passes, just outside fails
-    rec = estimate_from_count("e", 5200, 10000)
-    z, ok = compare_estimates(rec, 0.52 - 3.99 * rec.se, 4.0)
+    # just inside the threshold passes, just outside fails; the z unit is
+    # the standard error under the tested value, sqrt(0.25 / 40000) = 0.0025
+    rec = estimate_from_count("e", 20399, 40000)  # 0.5 + 3.99 * 0.0025
+    z, ok = compare_estimates(rec, 0.5, 4.0)
     assert z == pytest.approx(3.99) and ok
-    z, ok = compare_estimates(rec, 0.52 - 4.01 * rec.se, 4.0)
-    assert not ok
+    rec = estimate_from_count("e", 20401, 40000)  # 0.5 + 4.01 * 0.0025
+    z, ok = compare_estimates(rec, 0.5, 4.0)
+    assert z == pytest.approx(4.01) and not ok
+    # the estimate's own standard error collapses here; the tested value's does not
     degenerate = estimate_from_count("e", 1000, 1000)
     z, ok = compare_estimates(degenerate, 0.5, 4.0)
-    assert math.isinf(z) and not ok
+    assert z == pytest.approx(math.sqrt(1000.0)) and not ok
+
+
+def test_collapsed_standard_error_does_not_fail():
+    # every replication hits an event of probability 0.999994: the Wald
+    # standard error is 0, yet the estimate agrees with the theory
+    doc = _config(
+        model={"family": "iid", "n": 100},
+        targets=[
+            {"id": "tail", "terms": [{"type": "order_stat", "class": "all", "k": 1, "x": 12.0}]}
+        ],
+        reps=200,
+    )
+    (row,) = run_experiment(parse_config(doc)).rows
+    assert row.p_hat == 1.0 and row.se == 0.0
+    assert math.isfinite(row.z_limit) and row.passed
 
 
 def test_compare_validates_theory():
@@ -197,6 +217,25 @@ def test_report_shape_and_theory_columns(tmp_path):
     payload = json.loads(report.to_json())
     assert payload["config_hash"] == report.config_hash
     assert payload["rows"][0]["pass"] in (True, False)
+
+
+def test_json_report_writes_nonfinite_as_null():
+    # z is still infinite when the theory is 0 or 1 and the estimate differs
+    rec = estimate_from_count("e", 3, 10)
+    z_hi, _ = compare_estimates(rec, 0.0)
+    z_lo = -z_hi
+    rows = tuple(
+        ReportRow("e", 10, 0.0, "point(1)", 10, rec.p_hat, rec.se, 0.0, None, z, None, False)
+        for z in (z_hi, z_lo)
+    )
+    text = ComparisonReport(rows=rows, config_hash="abc", sigma=4.0).to_json()
+
+    def reject(literal):
+        raise AssertionError(f"non-strict JSON literal {literal}")
+
+    payload = json.loads(text, parse_constant=reject)
+    assert math.isinf(z_hi) and [row["z_limit"] for row in payload["rows"]] == [None, None]
+    assert payload["rows"][0]["p_hat"] == rec.p_hat
 
 
 def test_periodic_one_factor_gets_finite_n_theory():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -161,6 +162,32 @@ def test_vs_all_upper_bounded_by_marginals():
     v = order_stats_vs_all_cdf(BETA_HALF, "observed", 2, 3, 0.1, 0.4)
     marg = order_stats_vs_all_cdf(BETA_HALF, "observed", 2, 3, 0.1, INF)
     assert 0.0 <= v <= marg <= 1.0
+
+
+def _poisson(i: int, mu: float) -> float:
+    return mu**i * math.exp(-mu) / math.factorial(i)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_vs_all_matches_exact_enumeration(p):
+    # gamma = 0, point law: three independent Poisson counts, the class
+    # above the higher level (a), the class between the levels (b) and the
+    # other class above y (c), summed exhaustively
+    params = LimitLawParams(0.0, LambdaLaw.point(p))
+    for which in ("observed", "missed"):
+        frac = p if which == "observed" else 1.0 - p
+        for x, y in ((0.3, -0.4), (-0.4, 0.3)):
+            gx, gy = math.exp(-x), math.exp(-y)
+            mu_a, mu_b, mu_c = frac * min(gx, gy), frac * abs(gx - gy), (1.0 - frac) * gy
+            for k in range(1, 6):
+                for m in range(1, 6):
+                    exact = 0.0
+                    for a, b, c in itertools.product(range(k + m), repeat=3):
+                        class_x, all_y = (a + b, a + c) if x < y else (a, a + b + c)
+                        if class_x < k and all_y < m:
+                            exact += _poisson(a, mu_a) * _poisson(b, mu_b) * _poisson(c, mu_c)
+                    got = order_stats_vs_all_cdf(params, which, k, m, x, y)
+                    assert got == pytest.approx(exact, abs=1e-13), (which, x, y, k, m)
 
 
 def test_missed_class_is_observed_under_complement_law():
@@ -373,6 +400,26 @@ def test_locations_heights_split_identity():
             assert locations_heights_cdf(params, "missed_all", 1.0, 1.0, x, x) == pytest.approx(
                 joint, abs=1e-10
             )
+
+
+def test_locations_heights_obs_all_strong_dependence():
+    # gamma = 4: one quadrature loop over the folded integrand converges here
+    from scipy import integrate
+
+    gamma, s, t, x, y = 4.0, 0.5, 0.75, 0.0, 0.7
+
+    def integrand(z):
+        gx, gy = g_intensity(gamma, x, z), g_intensity(gamma, y, z)
+        joint = math.exp(-0.5 * gx - 0.5 * gy)
+        race = 0.5 * math.exp(-gx)
+        return (s * t * (joint - race) + min(s, t) * race) * math.exp(-0.5 * z * z)
+
+    step = (x + gamma) / math.sqrt(2.0 * gamma)
+    parts = (integrate.quad(integrand, -math.inf, step, epsabs=1e-14)[0]
+             + integrate.quad(integrand, step, math.inf, epsabs=1e-14)[0])
+    expected = parts / math.sqrt(2.0 * math.pi)
+    got = locations_heights_cdf(LimitLawParams(gamma, LambdaLaw.point(0.5)), "obs_all", s, t, x, y)
+    assert got == pytest.approx(expected, abs=1e-10)
 
 
 def test_locations_heights_complement_symmetry():
