@@ -42,6 +42,7 @@ from .limit_laws import (
     finite_n_one_factor_prob,
     g_intensity,
     joint_counts_pmf,
+    joint_counts_pmf_batch,
     joint_maxima_cdf,
     locations_cdf,
     locations_heights_cdf,

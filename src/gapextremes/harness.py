@@ -16,7 +16,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -126,7 +126,23 @@ class ExperimentConfig:
         return LimitLawParams(self.spec.gamma, self.missingness.limit_law())
 
     def hash(self) -> str:
-        return config_hash(self.doc)
+        """Hash of the experiment identity: every parsed field except the
+        execution-only ones.
+
+        Hashing parsed values makes equal numbers spelled differently
+        (``1`` and ``1.0``) and defaults left implicit hash alike.  The
+        worker count, report basename and output directory cannot change
+        row content, and reports must be byte-identical across worker
+        counts, so they are left out.
+        """
+        identity = tuple(
+            (f.name, getattr(self, f.name)) for f in fields(self) if f.name not in _EXECUTION_ONLY
+        )
+        return hashlib.sha256(repr(identity).encode()).hexdigest()[:12]
+
+
+#: ExperimentConfig fields outside the experiment identity
+_EXECUTION_ONLY = ("workers", "report_name", "out_dir", "doc")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -199,15 +215,9 @@ def _parse_config(doc: dict) -> ExperimentConfig:
 
 
 def config_hash(doc: dict) -> str:
-    """Hash of the experiment identity.
-
-    Execution-only keys (worker count, report basename) are excluded: they
-    cannot change row content, and reports must be byte-identical across
-    worker counts.
-    """
-    identity = {k: v for k, v in doc.items() if k not in ("workers", "report_name")}
-    canonical = json.dumps(identity, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(canonical).hexdigest()[:12]
+    """Hash of the experiment identity of a configuration document (see
+    ``ExperimentConfig.hash``)."""
+    return parse_config(doc).hash()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,15 @@ probabilities: it validates its arguments and hands an integrand
 against the quadrature rules, refines until stable (quadrature.converge)
 and clips to [0, 1].  The exact finite-n identity keeps its own integral.
 
+The kernel also takes a batch of integrals sharing one rule per doubling,
+each refined until stable on its own.  ``joint_counts_pmf_batch`` uses it
+for many count cells at once: on each rule it builds the four Poisson pmf
+tables (observed/missed class, above the higher level/between the levels)
+once, for the counts asked for, and every cell's integrand is a
+product of four table rows.  The scalar ``joint_counts_pmf`` is its
+one-row call.  ``locations_heights_cdf`` batches over arrays of locations
+the same way.
+
 Level arguments accept +inf to drop the corresponding constraint.
 """
 from __future__ import annotations
@@ -37,6 +46,7 @@ __all__ = [
     "order_stats_obs_missed_cdf",
     "order_stats_vs_all_cdf",
     "joint_counts_pmf",
+    "joint_counts_pmf_batch",
     "void_probability_intervals",
     "finite_n_one_factor_prob",
     "locations_heights_cdf",
@@ -77,7 +87,8 @@ def g_intensity(gamma: float, x, z):
 
 def _poisson_pmf(k: int, mu: np.ndarray) -> np.ndarray:
     """Poisson pmf with the 0^0 = 1 convention at mu = 0."""
-    return np.exp(special.xlogy(k, mu) - mu - special.gammaln(k + 1))
+    log_pmf = special.xlogy(k, mu) - mu - special.gammaln(k + 1)
+    return np.exp(log_pmf, out=log_pmf)
 
 
 def _poisson_cdf(kmax: int, mu: np.ndarray) -> np.ndarray:
@@ -85,16 +96,29 @@ def _poisson_cdf(kmax: int, mu: np.ndarray) -> np.ndarray:
     return special.pdtr(kmax, mu)
 
 
-def _clip_prob(value: float) -> float:
+def _clip_prob(value):
+    """Clamp to [0, 1]; arrays elementwise by the same scalar rule."""
+    if np.ndim(value):
+        return np.reshape([_clip_prob(v) for v in np.ravel(value)], np.shape(value))
     return min(max(value, 0.0), 1.0)
 
 
-def _mixed_poisson(params: LimitLawParams, integrand) -> float:
+def _mixed_poisson(params: LimitLawParams, integrand, shape: tuple = ()):
     """E over (lambda, xi) of ``integrand(lam, g)``, with ``lam`` the
-    fraction column and ``g(level)`` the intensity at the factor nodes."""
+    fraction column and ``g(level)`` the intensity at the factor nodes.
 
-    def evaluate(rule: QuadratureRule) -> float:
-        return rule.expect(integrand(rule.lam_col, lambda x: g_intensity(params.gamma, x, rule.z)))
+    A nonempty ``shape`` makes it a batch: ``integrand`` then returns an
+    array with leading axes ``shape``, or an iterable of one value array
+    per element, and the result is an array of that shape whose elements
+    each converge on their own."""
+
+    def evaluate(rule: QuadratureRule):
+        values = integrand(rule.lam_col, lambda x: g_intensity(params.gamma, x, rule.z))
+        if not shape:
+            return rule.expect(values)
+        if isinstance(values, np.ndarray):
+            values = values.reshape(-1, *values.shape[-2:])
+        return np.reshape([rule.expect(v) for v in values], shape)
 
     return _clip_prob(converge(params.lambda_law, evaluate))
 
@@ -165,33 +189,60 @@ def joint_counts_pmf(
     Count patterns violating the nesting forced by the level ordering get
     exact probability 0.
     """
+    return float(joint_counts_pmf_batch(params, measure, x, y, [(k1, k2, k3, k4)])[0])
+
+
+def joint_counts_pmf_batch(
+    params: LimitLawParams, measure: float, x: float, y: float, counts
+) -> np.ndarray:
+    """``joint_counts_pmf`` for every row (k1, k2, k3, k4) of the (C, 4)
+    array ``counts``, as a length-C array.
+
+    All rows share each quadrature rule, and on each rule the four Poisson
+    pmf tables are built once, for the counts present; a row's value is the
+    same float a lone evaluation of it gives.
+    """
     if not 0.0 < measure <= 1.0:
         raise InvalidParameterError(f"family measure must lie in (0,1], got {measure}")
-    counts = (k1, k2, k3, k4)
-    if any(int(c) != c or c < 0 for c in counts):
-        raise InvalidParameterError(f"counts must be nonnegative integers, got {counts}")
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.shape[1] != 4:
+        raise InvalidParameterError(f"counts must be a (C, 4) array, got shape {counts.shape}")
+    for row in counts.tolist():
+        if any(int(c) != c or c < 0 for c in row):
+            raise InvalidParameterError(f"counts must be nonnegative integers, got {tuple(row)}")
+    k = counts.astype(np.int64)
     if x > y:
-        if k1 > k3 or k2 > k4:
-            return 0.0
         lo_level, hi_level = y, x
-        obs_hi, obs_lo, mis_hi, mis_lo = k1, k3, k2, k4
+        obs_hi, obs_lo, mis_hi, mis_lo = k[:, 0], k[:, 2], k[:, 1], k[:, 3]
     else:
-        if k3 > k1 or k4 > k2:
-            return 0.0
         lo_level, hi_level = x, y
-        obs_hi, obs_lo, mis_hi, mis_lo = k3, k1, k4, k2
+        obs_hi, obs_lo, mis_hi, mis_lo = k[:, 2], k[:, 0], k[:, 3], k[:, 1]
+    # per class: the count above the higher level and the count between levels
+    split = np.stack([obs_hi, obs_lo - obs_hi, mis_hi, mis_lo - mis_hi], axis=1)
+    nested = (split >= 0).all(axis=1)
+    out = np.zeros(len(k))
+    live = split[nested]
+    if not len(live):
+        return out
 
     def integrand(lam, g):
         g_hi = g(hi_level)
         gap = g(lo_level) - g_hi
-        return (
-            _poisson_pmf(obs_hi, lam * measure * g_hi)
-            * _poisson_pmf(obs_lo - obs_hi, lam * measure * gap)
-            * _poisson_pmf(mis_hi, (1.0 - lam) * measure * g_hi)
-            * _poisson_pmf(mis_lo - mis_hi, (1.0 - lam) * measure * gap)
-        )
 
-    return _mixed_poisson(params, integrand)
+        def table(frac, g_part, ks):
+            mu = frac * measure * g_part
+            return {j: _poisson_pmf(j, mu) for j in np.unique(ks)}
+
+        tables = (
+            table(lam, g_hi, live[:, 0]),
+            table(lam, gap, live[:, 1]),
+            table(1.0 - lam, g_hi, live[:, 2]),
+            table(1.0 - lam, gap, live[:, 3]),
+        )
+        return (tables[0][a] * tables[1][b] * tables[2][c] * tables[3][d] for a, b, c, d in live)
+
+    out[nested] = _mixed_poisson(params, integrand, (len(live),))
+    return out
 
 
 def void_probability_intervals(params: LimitLawParams, cells) -> float:
@@ -264,8 +315,11 @@ def locations_heights_cdf(
     * ``obs_missed`` — observed (s, x) and missed (t, y); any x, y.
     * ``obs_all`` — observed (s, x) and overall (t, y); needs x <= y.
     * ``missed_all`` — missed (s, x) and overall (t, y); needs x <= y.
+
+    ``s`` and ``t`` may be numpy arrays, broadcast together; the result is
+    then an array of their shape, from one height integral for all of them.
     """
-    if not (0.0 < s <= 1.0 and 0.0 < t <= 1.0):
+    if not np.all((0.0 < s) & (s <= 1.0) & (0.0 < t) & (t <= 1.0)):
         raise InvalidParameterError(f"scaled locations must lie in (0,1], got s={s}, t={t}")
     if pair not in ("obs_missed", "obs_all", "missed_all"):
         raise InvalidParameterError(f"unknown pair {pair!r}")
@@ -275,6 +329,9 @@ def locations_heights_cdf(
 
     if x > y:
         raise InvalidParameterError(f"pair {pair} is defined for x <= y only, got x={x} > y={y}")
+    shape = np.broadcast_shapes(np.shape(s), np.shape(t))
+    if shape:  # array locations broadcast over the (lambda, z) node axes
+        s, t = np.expand_dims(s, (-2, -1)), np.expand_dims(t, (-2, -1))
 
     def integrand(lam, g):
         frac = lam if pair == "obs_all" else 1.0 - lam
@@ -282,9 +339,9 @@ def locations_heights_cdf(
         joint = np.exp(-(frac * gx + (1.0 - frac) * g(y)))
         # P(the pair's class carries the overall max and it is <= u_n(x))
         race = frac * np.exp(-gx)
-        return s * t * (joint - race) + min(s, t) * race
+        return s * t * (joint - race) + np.minimum(s, t) * race
 
-    return _mixed_poisson(params, integrand)
+    return _mixed_poisson(params, integrand, shape)
 
 
 def locations_cdf(lambda_law: LambdaLaw, pair: str, s: float, t: float) -> float:

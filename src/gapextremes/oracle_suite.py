@@ -2,10 +2,10 @@
 brute-force limit samplers.
 
 ``counts_suite`` checks the joint count pmf cell by cell against the
-empirical distribution of the thinning sampler; ``maxima_suite`` checks
-the locations-and-heights laws against the Gumbel-race sampler.  Both are
-deterministic given (samples, seed) and report one z-scored row per
-checked quantity.
+empirical distribution of the thinning sampler, evaluating all cells of a
+setting in one batch; ``maxima_suite`` checks the locations-and-heights
+laws against the Gumbel-race sampler.  Both are deterministic given
+(samples, seed) and report one z-scored row per checked quantity.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from .harness import compare_estimates, estimate_from_count
 from .lambdalaw import LambdaLaw
 from .limit_laws import (
     LimitLawParams,
-    joint_counts_pmf,
+    joint_counts_pmf_batch,
     locations_cdf,
     locations_heights_cdf,
 )
@@ -89,18 +89,16 @@ def counts_suite(
         uniq, counts = np.unique(keys, return_counts=True)
         keep = counts >= support_floor
         label = f"g{gamma:g}-{law.describe()}-m{measure:g}"
-        for key, hits in zip(uniq[keep], counts[keep]):
-            k1, k2, k3, k4 = np.unravel_index(key, (1 << 15,) * 4)
-            theory = joint_counts_pmf(
-                params, measure, x_level, y_level, int(k1), int(k2), int(k3), int(k4)
-            )
+        candidates = np.stack(np.unravel_index(uniq[keep], (1 << 15,) * 4), axis=1)
+        theories = joint_counts_pmf_batch(params, measure, x_level, y_level, candidates)
+        for (k1, k2, k3, k4), hits, theory in zip(candidates, counts[keep], theories):
             if theory < min_prob:
                 continue
             rows.append(
                 _check(
                     f"counts[{label}]({k1},{k2},{k3},{k4})",
                     int(hits),
-                    theory,
+                    float(theory),
                     samples,
                     sigma,
                 )
@@ -126,12 +124,19 @@ def maxima_suite(
     t_hits = {t: batch.missed_loc <= t for t in MAXIMA_ST_GRID}
     x_hits = {x: batch.observed_max <= x for x in MAXIMA_XY_GRID}
     y_hits = {y: batch.missed_max <= y for y in MAXIMA_XY_GRID}
-    for s in MAXIMA_ST_GRID:
-        for t in MAXIMA_ST_GRID:
+    # one height integral per (x, y), shared by the whole (s, t) grid
+    s_grid, t_grid = np.meshgrid(MAXIMA_ST_GRID, MAXIMA_ST_GRID, indexing="ij")
+    heights = {
+        (x, y): locations_heights_cdf(params, "obs_missed", s_grid, t_grid, x, y)
+        for x in MAXIMA_XY_GRID
+        for y in MAXIMA_XY_GRID
+    }
+    for i, s in enumerate(MAXIMA_ST_GRID):
+        for j, t in enumerate(MAXIMA_ST_GRID):
             for x in MAXIMA_XY_GRID:
                 for y in MAXIMA_XY_GRID:
                     hits = np.count_nonzero(s_hits[s] & t_hits[t] & x_hits[x] & y_hits[y])
-                    theory = locations_heights_cdf(params, "obs_missed", s, t, x, y)
+                    theory = float(heights[x, y][i, j])
                     rows.append(
                         _check(f"heights({s},{t},{x},{y})", hits, theory, samples, sigma)
                     )

@@ -5,6 +5,10 @@ expectation over the observed-fraction law.
 Rules are cached per (law, node count).  Reported values go through
 ``converge``: evaluate at the default node count, double until two
 consecutive answers agree to ``tol``, and raise after the node budget.
+``converge`` works elementwise: an evaluation may return an array of
+independent integrals, each of which keeps the finer of its own first
+pair of answers within ``tol``, so a batch shares one rule per doubling
+and every element equals what it would converge to alone.
 """
 from __future__ import annotations
 
@@ -87,21 +91,31 @@ def converge(
     start: int = DEFAULT_NODES,
     tol: float = CONVERGENCE_TOL,
     max_nodes: int = MAX_NODES,
-) -> float:
+):
     """Evaluate ``evaluate(rule)`` under node doubling until stable.
 
     Returns the finer of the first pair of answers within ``tol`` of each
-    other.  Atomic fraction laws only ever escalate the z rule.
+    other.  When ``evaluate`` returns an array, that test runs per element:
+    each element keeps its own first stable answer, doubling stops once
+    every element has settled, and the result is a float array of the same
+    shape.  A scalar ``evaluate`` gives a float.  Atomic fraction laws only
+    ever escalate the z rule.
     """
     m = start
     previous = evaluate(rule_for(law, m, m))
+    result = np.array(previous, dtype=float)
+    pending = np.ones(result.shape, dtype=bool)
     while m < max_nodes:
         m *= 2
-        current = evaluate(rule_for(law, m, m))
-        if abs(current - previous) < tol:
-            return current
+        current = np.asarray(evaluate(rule_for(law, m, m)), dtype=float)
+        settled = pending & (np.abs(current - previous) < tol)
+        result[settled] = current[settled]
+        pending &= ~settled
+        if not pending.any():
+            return result if result.ndim else float(result)
         previous = current
+    unsettled = f"{np.count_nonzero(pending)} of {pending.size} elements " if pending.ndim else ""
     raise QuadratureConvergenceError(
         f"integral did not stabilize to {tol:g} within {max_nodes} nodes "
-        f"(last delta at {m} nodes)"
+        f"({unsettled}unsettled at {m} nodes)"
     )

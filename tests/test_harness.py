@@ -104,6 +104,24 @@ def test_config_hash_sensitivity():
     assert a == config_hash(_config())
 
 
+def test_config_hash_normalizes_numbers():
+    doc = _config()
+    doc["model"]["gamma"] = 1
+    assert config_hash(doc) == config_hash(_config())
+    doc["reps"] = 3000.0
+    doc["sigma"] = 5
+    assert config_hash(doc) == config_hash(_config())
+
+
+def test_config_hash_ignores_execution_only_keys():
+    base = config_hash(_config())
+    assert config_hash(_config(out_dir="elsewhere")) == base
+    assert config_hash(_config(workers=3, report_name="other")) == base
+    assert config_hash(_config(master_seed=778)) != base
+    assert config_hash(_config(sigma=4.5)) != base
+    assert parse_config(_config(out_dir="elsewhere")).hash() == base
+
+
 # ---------------------------------------------------------------------------
 # estimates
 

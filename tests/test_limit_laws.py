@@ -12,6 +12,7 @@ from gapextremes.limit_laws import (
     finite_n_one_factor_prob,
     g_intensity,
     joint_counts_pmf,
+    joint_counts_pmf_batch,
     joint_maxima_cdf,
     locations_cdf,
     locations_heights_cdf,
@@ -19,6 +20,7 @@ from gapextremes.limit_laws import (
     order_stats_vs_all_cdf,
     void_probability_intervals,
 )
+from gapextremes.quadrature import converge
 
 INF = math.inf
 
@@ -362,6 +364,89 @@ def test_finite_n_against_one_factor_simulation():
     p_hat = hits / reps
     se = math.sqrt(exact * (1 - exact) / reps)
     assert abs(p_hat - exact) < 4 * se
+
+
+BATCH_CELLS = [
+    (0, 0, 0, 0),
+    (1, 0, 2, 1),
+    (0, 2, 1, 3),
+    (2, 1, 3, 1),
+    (3, 0, 1, 0),  # breaks the nesting for x > y
+    (1, 0, 3, 0),  # breaks the nesting for x < y
+    (0, 4, 0, 4),
+    (1, 1, 1, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "law", [LambdaLaw.point(0.5), LambdaLaw.uniform(0.0, 1.0), LambdaLaw.beta(2.0, 2.0)]
+)
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("measure", [0.5, 1.0])
+@pytest.mark.parametrize("x, y", [(1.0, 0.0), (-0.5, 0.7)])
+def test_pmf_batch_equals_scalar_exactly(law, gamma, measure, x, y):
+    params = LimitLawParams(gamma, law)
+    batch = joint_counts_pmf_batch(params, measure, x, y, np.array(BATCH_CELLS))
+    assert batch.shape == (len(BATCH_CELLS),)
+    for cell, value in zip(BATCH_CELLS, batch):
+        assert value == joint_counts_pmf(params, measure, x, y, *cell)
+    assert (batch == 0.0).sum() >= 1  # some row breaks the nesting either way
+
+
+def _pmf_one_cell_quadrature(params, measure, x, y, k1, k2, k3, k4):
+    # reference: one converge loop per cell over the product of the four
+    # Poisson pmfs, as an unbatched evaluation computes it
+    lo, hi = min(x, y), max(x, y)
+    obs_hi, obs_lo, mis_hi, mis_lo = (k1, k3, k2, k4) if x > y else (k3, k1, k4, k2)
+
+    def pmf(k, mu):
+        return np.exp(special.xlogy(k, mu) - mu - special.gammaln(k + 1))
+
+    def evaluate(rule):
+        lam = rule.lam_col
+        g_hi = g_intensity(params.gamma, hi, rule.z)
+        gap = g_intensity(params.gamma, lo, rule.z) - g_hi
+        return rule.expect(
+            pmf(obs_hi, lam * measure * g_hi)
+            * pmf(obs_lo - obs_hi, lam * measure * gap)
+            * pmf(mis_hi, (1.0 - lam) * measure * g_hi)
+            * pmf(mis_lo - mis_hi, (1.0 - lam) * measure * gap)
+        )
+
+    return min(max(converge(params.lambda_law, evaluate), 0.0), 1.0)
+
+
+@pytest.mark.parametrize("params", [POINT_HALF, MIXED, BETA_HALF])
+def test_pmf_batch_matches_per_cell_quadrature_exactly(params):
+    for x, y in [(1.0, 0.0), (-0.5, 0.7)]:
+        above_x, above_y = (slice(0, 2), slice(2, 4)) if x > y else (slice(2, 4), slice(0, 2))
+        nested = [c for c in BATCH_CELLS if np.all(np.less_equal(c[above_x], c[above_y]))]
+        batch = joint_counts_pmf_batch(params, 0.5, x, y, nested)
+        assert batch.tolist() == [_pmf_one_cell_quadrature(params, 0.5, x, y, *c) for c in nested]
+
+
+def test_pmf_batch_validation_and_empty():
+    with pytest.raises(InvalidParameterError):
+        joint_counts_pmf_batch(MIXED, 0.5, 1.0, 0.0, [(0, 0, 0)])
+    with pytest.raises(InvalidParameterError):
+        joint_counts_pmf_batch(MIXED, 0.5, 1.0, 0.0, [(0, 0, 0, 0), (0, 1.5, 0, 2)])
+    with pytest.raises(InvalidParameterError):
+        joint_counts_pmf_batch(MIXED, 1.5, 1.0, 0.0, [(0, 0, 0, 0)])
+    assert joint_counts_pmf_batch(MIXED, 0.5, 1.0, 0.0, np.zeros((0, 4), int)).shape == (0,)
+    assert joint_counts_pmf_batch(MIXED, 0.5, 1.0, 0.0, [(3, 0, 1, 0)]).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("pair", ["obs_missed", "obs_all", "missed_all"])
+def test_locations_heights_array_locations_equal_scalar_calls(pair):
+    grid = (0.25, 0.5, 1.0)
+    s, t = np.meshgrid(grid, grid, indexing="ij")
+    for params in (POINT_HALF, BETA_HALF):
+        got = locations_heights_cdf(params, pair, s, t, -0.3, 0.4)
+        assert got.shape == (3, 3)
+        for i, j in itertools.product(range(3), repeat=2):
+            assert got[i, j] == locations_heights_cdf(params, pair, grid[i], grid[j], -0.3, 0.4)
+    with pytest.raises(InvalidParameterError):
+        locations_heights_cdf(POINT_HALF, pair, s, t * 2.0, -0.3, 0.4)
 
 
 # ---------------------------------------------------------------------------

@@ -59,3 +59,55 @@ def test_rules_are_cached_and_immutable():
     assert a.z is b.z and a.lam is b.lam
     with pytest.raises(ValueError):
         a.z[0] = 0.0
+
+
+def test_converge_elementwise_keeps_each_first_stable_value():
+    # element 0 settles at 128 nodes, element 1 at 256, element 2 at 512
+    seen = []
+    answers = {
+        64: [1.0, 2.0, 3.0],
+        128: [1.0, 2.5, 3.5],
+        256: [7.0, 2.5, 3.7],
+        512: [9.0, 8.0, 3.7],
+    }
+
+    def evaluate(rule):
+        seen.append(rule.n_z)
+        return np.array(answers[rule.n_z])
+
+    value = converge(LambdaLaw.point(0.5), evaluate)
+    assert isinstance(value, np.ndarray) and value.dtype == float
+    assert value.tolist() == [1.0, 2.5, 3.7]
+    assert seen == [64, 128, 256, 512]
+
+
+def test_converge_elementwise_stops_once_all_settled():
+    seen = []
+
+    def evaluate(rule):
+        seen.append(rule.n_z)
+        return np.array([[0.5, 0.25]]) if rule.n_z > 64 else np.array([[0.0, 0.25]])
+
+    value = converge(LambdaLaw.uniform(0, 1), evaluate)
+    assert value.shape == (1, 2) and value.tolist() == [[0.5, 0.25]]
+    assert seen == [64, 128, 256]
+
+
+def test_converge_scalar_returns_python_float():
+    def evaluate(rule):
+        return rule.expect(np.exp(-np.exp(rule.z)))
+
+    value = converge(LambdaLaw.point(1.0), evaluate)
+    assert type(value) is float
+
+
+def test_converge_one_unsettled_element_raises():
+    calls = []
+
+    def evaluate(rule):
+        calls.append(rule.n_z)
+        return np.array([1.0, float(len(calls))])
+
+    with pytest.raises(QuadratureConvergenceError, match="1 of 2"):
+        converge(LambdaLaw.point(0.5), evaluate)
+    assert calls == [64, 128, 256, 512]
