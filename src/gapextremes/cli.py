@@ -38,17 +38,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="report output directory (overrides config out_dir)")
         p.add_argument("--sigma", type=float, default=None, help="pass/fail z threshold")
 
-    p_eval = sub.add_parser("evaluate", help="evaluate limit laws without simulating")
-    add_common(p_eval, needs_config=True)
-    p_eval.set_defaults(func=_cmd_evaluate)
-
-    p_sim = sub.add_parser("simulate", help="run the Monte Carlo experiment")
-    add_common(p_sim, needs_config=True)
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_ver = sub.add_parser("verify", help="simulate and compare against theory")
-    add_common(p_ver, needs_config=True)
-    p_ver.set_defaults(func=_cmd_verify)
+    for name, help_text in (
+        ("evaluate", "evaluate limit laws without simulating"),
+        ("simulate", "run the Monte Carlo experiment"),
+        ("verify", "simulate and compare against theory"),
+    ):
+        p_exp = sub.add_parser(name, help=help_text)
+        add_common(p_exp, needs_config=True)
+        p_exp.set_defaults(func=_cmd_experiment)
 
     p_orc = sub.add_parser("oracle", help="limit-sampler equivalence suites")
     add_common(p_orc, needs_config=False)
@@ -89,30 +86,23 @@ def _report_and_print(report, args, config) -> None:
     print(f"report: {json_path}")
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_experiment(args) -> int:
+    """evaluate, simulate or verify; only verify exits 1 on a failed check."""
     config = _load_config(args)
-    report = evaluate_theory(config)
+    report = evaluate_theory(config) if args.command == "evaluate" else run_experiment(config)
     _report_and_print(report, args, config)
-    return 0
-
-
-def _cmd_simulate(args) -> int:
-    config = _load_config(args)
-    report = run_experiment(config)
-    _report_and_print(report, args, config)
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    config = _load_config(args)
-    report = run_experiment(config)
-    _report_and_print(report, args, config)
-    return 0 if report.all_pass() else 1
+    return 1 if args.command == "verify" and not report.all_pass() else 0
 
 
 def _cmd_oracle(args) -> int:
     seed = args.seed if args.seed is not None else 0
     sigma = args.sigma if args.sigma is not None else 4.0
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    if not sigma > 0:  # NaN too
+        raise ConfigError(f"--sigma must be positive, got {sigma}")
     rows = counts_suite(samples=args.samples, seed=seed, sigma=sigma)
     rows += maxima_suite(samples=args.samples, seed=seed, sigma=sigma)
     out_dir = args.out if args.out is not None else "reports"

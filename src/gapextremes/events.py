@@ -6,6 +6,15 @@ interval families, and scaled argmax locations.  These are exactly the
 event shapes whose limits the closed-form evaluators cover, so most
 events can be given a theoretical value automatically; events outside the
 recognized shapes simulate fine but carry no theory columns.
+
+For simulation, ``CompiledEvents`` reduces a replication to one
+*observable record*: a float vector with one column per distinct
+observable the events mention (a class k-th maximum, a class exceedance
+count over a family at a level, a class argmax location).  Every term is
+a bound on one column, so an event is a conjunction of interval checks
+on the record, whichever sampler produced it.  ``extremes`` computes the
+same observables one at a time and is the reference the record is tested
+against.
 """
 from __future__ import annotations
 
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limit_laws
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError
 from .extremes import CLASSES, IntervalFamily, LevelParams
 from .limit_laws import LimitLawParams
 
@@ -134,103 +143,79 @@ def parse_event(doc: dict) -> Event:
 
 
 class CompiledEvents:
-    """Events bound to a path length, evaluated with per-path caching.
+    """Events bound to a path length, evaluated on one observable record
+    per replication.
 
-    Calling with (values, eps_bool) returns one boolean per event.  Class
-    maxima, order statistics, exceedance masks and argmax locations are
-    computed at most once per path however many terms share them.
+    ``observables`` lists the distinct observables the events mention, one
+    record column each: ``("kth", which, k)``, the k-th maximum of a class;
+    ``("count", which, ranges, u)``, the class exceedance count above level
+    u over the 0-based half-open index ranges of a family; and
+    ``("location", which)``, the 1-based index of the first class maximum.
+    ``record(values, eps_bool)`` computes every column once per path.
+    Every term is one bound lo <= record[col] <= hi, and calling with
+    (values, eps_bool) returns one boolean per event: whether all its
+    bounds hold.
     """
 
-    def __init__(self, events, n: int, *, strict_order_stats: bool = False):
+    def __init__(self, events, n: int):
         self.events = tuple(events)
         self.n = int(n)
-        self.strict = strict_order_stats
         lp = LevelParams.for_length(self.n)
-        self._plans = []
+        columns: dict[tuple, int] = {}
+        cols, limits, starts = [], [], []
         for event in self.events:
-            plan = []
+            starts.append(len(cols))
             for term in event.terms:
                 if isinstance(term, OrderStatTerm):
-                    plan.append(("kth", term.which, term.k, lp.level(term.x)))
+                    key = ("kth", term.which, term.k)
+                    bounds = (-math.inf, lp.level(term.x))
                 elif isinstance(term, CountTerm):
                     ranges = tuple(term.family.index_ranges(self.n))
-                    plan.append(("count", term.which, ranges, lp.level(term.x), term.op, term.value))
+                    key = ("count", term.which, ranges, lp.level(term.x))
+                    bounds = (term.value if term.op == "eq" else -math.inf, term.value)
                 else:
-                    limit = math.floor(term.s * self.n + 1e-9)
-                    plan.append(("loc", term.which, limit))
-            self._plans.append(tuple(plan))
+                    key = ("location", term.which)
+                    bounds = (-math.inf, math.floor(term.s * self.n + 1e-9))
+                cols.append(columns.setdefault(key, len(columns)))
+                limits.append(bounds)
+        self.observables = tuple(columns)
+        self._classes = {key[1] for key in self.observables}
+        self._cols = np.array(cols)
+        self._lo, self._hi = np.array(limits, dtype=float).T
+        self._starts = np.array(starts)
+
+    def record(self, values: np.ndarray, eps_bool: np.ndarray) -> np.ndarray:
+        """The observable record of one path: one float per column of
+        ``observables``.  An empty class has k-th maximum -inf and location
+        +inf."""
+        # a class is the path with every non-member at -inf
+        masked = {
+            which: values if which == "all"
+            else np.where(eps_bool if which == "observed" else ~eps_bool, values, -np.inf)
+            for which in self._classes
+        }
+        rec = np.empty(len(self.observables))
+        for col, (kind, which, *spec) in enumerate(self.observables):
+            arr = masked[which]
+            if kind == "kth":
+                (k,) = spec
+                if k > self.n:
+                    rec[col] = -np.inf
+                elif k == 1:
+                    rec[col] = arr.max()
+                else:
+                    rec[col] = np.partition(arr, self.n - k)[self.n - k]
+            elif kind == "count":
+                ranges, u = spec
+                rec[col] = sum(np.count_nonzero(arr[a:b] > u) for a, b in ranges)
+            else:
+                top = int(np.argmax(arr))
+                rec[col] = top + 1 if arr[top] > -np.inf else np.inf
+        return rec
 
     def __call__(self, values: np.ndarray, eps_bool: np.ndarray) -> np.ndarray:
-        cache: dict = {}
-
-        def masked(which):
-            key = ("masked", which)
-            if key not in cache:
-                if which == "all":
-                    cache[key] = values
-                elif which == "observed":
-                    cache[key] = np.where(eps_bool, values, -np.inf)
-                else:
-                    cache[key] = np.where(eps_bool, -np.inf, values)
-            return cache[key]
-
-        def kth_value(which, k):
-            key = ("kth", which, k)
-            if key not in cache:
-                if k == 1 and not self.strict:
-                    cache[key] = masked(which).max()
-                else:
-                    arr = masked(which)
-                    finite = arr[arr > -np.inf] if which != "all" else arr
-                    size = len(finite)
-                    if size < k or (self.strict and size == k):
-                        cache[key] = -np.inf
-                    else:
-                        cache[key] = np.partition(finite, size - k)[size - k]
-            return cache[key]
-
-        def exceed_mask(which, u):
-            key = ("exceed", which, u)
-            if key not in cache:
-                hits = values > u
-                if which == "observed":
-                    hits = hits & eps_bool
-                elif which == "missed":
-                    hits = hits & ~eps_bool
-                cache[key] = hits
-            return cache[key]
-
-        def location(which):
-            key = ("loc", which)
-            if key not in cache:
-                arr = masked(which)
-                top = arr.max()
-                cache[key] = None if top == -np.inf else int(np.argmax(arr)) + 1
-            return cache[key]
-
-        out = np.zeros(len(self.events), dtype=bool)
-        for idx, plan in enumerate(self._plans):
-            ok = True
-            for step in plan:
-                if step[0] == "kth":
-                    _, which, k, u = step
-                    # strict mode can return -inf for a class of exactly k,
-                    # which still satisfies <= u; that is the intended reading
-                    if not kth_value(which, k) <= u:
-                        ok = False
-                elif step[0] == "count":
-                    _, which, ranges, u, op, value = step
-                    hits = exceed_mask(which, u)
-                    count = sum(int(hits[lo:hi].sum()) for lo, hi in ranges)
-                    ok = count == value if op == "eq" else count <= value
-                else:
-                    _, which, limit = step
-                    loc = location(which)
-                    ok = loc is not None and loc <= limit
-                if not ok:
-                    break
-            out[idx] = ok
-        return out
+        rec = self.record(values, eps_bool)[self._cols]
+        return np.logical_and.reduceat((self._lo <= rec) & (rec <= self._hi), self._starts)
 
 
 def _split_terms(event: Event):

@@ -188,21 +188,16 @@ def exceedance_counts(path, eps, levels, families) -> ExceedanceRecord:
     return ExceedanceRecord(levels=levels, families=families, observed=obs, missed=mis)
 
 
-def kth_maximum(path, eps, which: str, k: int, *, strict: bool = False) -> float:
-    """k-th largest value of a class, -inf when the class is too small.
-
-    With the default ``strict=False`` the k-th maximum exists whenever the
-    class has at least k members; ``strict=True`` requires strictly more
-    than k, which kills the boundary case where the class has exactly k
-    members (and with it the count/order-statistic duality).
-    """
+def kth_maximum(path, eps, which: str, k: int) -> float:
+    """k-th largest value of a class, -inf when the class has fewer than
+    k members."""
     if k < 1:
         raise InvalidParameterError(f"need k >= 1, got {k}")
     values = _values(path)
     mask = _class_mask(_indicators(eps), which)
     cls_values = values if mask is None else values[mask]
     size = len(cls_values)
-    if size < k or (strict and size == k):
+    if size < k:
         return float("-inf")
     return float(np.partition(cls_values, size - k)[size - k])
 

@@ -16,7 +16,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -117,7 +117,6 @@ class ExperimentConfig:
     sigma: float = 4.0
     report_name: str = "report"
     out_dir: str = "reports"
-    doc: dict | None = None
 
     def build_model(self) -> GaussianModel:
         return build_model(self.n, self.spec)
@@ -142,7 +141,7 @@ class ExperimentConfig:
 
 
 #: ExperimentConfig fields outside the experiment identity
-_EXECUTION_ONLY = ("workers", "report_name", "out_dir", "doc")
+_EXECUTION_ONLY = ("workers", "report_name", "out_dir")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -196,8 +195,11 @@ def _parse_config(doc: dict) -> ExperimentConfig:
     workers = int(doc.get("workers", 1))
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    master_seed = int(doc["master_seed"])
+    if master_seed < 0:
+        raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
     sigma = float(doc.get("sigma", 4.0))
-    if sigma <= 0:
+    if not sigma > 0:  # NaN too
         raise ConfigError(f"sigma must be positive, got {sigma}")
     return ExperimentConfig(
         spec=spec,
@@ -205,12 +207,11 @@ def _parse_config(doc: dict) -> ExperimentConfig:
         missingness=missing,
         events=events,
         reps=reps,
-        master_seed=int(doc["master_seed"]),
+        master_seed=master_seed,
         workers=workers,
         sigma=sigma,
         report_name=str(doc.get("report_name", "report")),
         out_dir=str(doc.get("out_dir", "reports")),
-        doc=doc,
     )
 
 
@@ -294,11 +295,6 @@ def _simulate_range(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     return counts
 
 
-def _worker(payload: tuple[dict, int, int]) -> np.ndarray:
-    doc, lo, hi = payload
-    return _simulate_range(parse_config(doc), lo, hi)
-
-
 def simulate_event_counts(config: ExperimentConfig) -> np.ndarray:
     """Total event hit counts over all replications.
 
@@ -308,10 +304,10 @@ def simulate_event_counts(config: ExperimentConfig) -> np.ndarray:
     if config.workers == 1:
         return _simulate_range(config, 0, config.reps)
     chunk = max(1, -(-config.reps // (config.workers * 4)))
-    ranges = [(lo, min(lo + chunk, config.reps)) for lo in range(0, config.reps, chunk)]
-    payloads = [(config.doc, lo, hi) for lo, hi in ranges]
+    los = range(0, config.reps, chunk)
+    his = [min(lo + chunk, config.reps) for lo in los]
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        partials = list(pool.map(_worker, payloads))
+        partials = list(pool.map(_simulate_range, [config] * len(los), los, his))
     total = np.zeros(len(config.events), dtype=np.int64)
     for part in partials:
         total += part
@@ -324,6 +320,9 @@ def simulate_event_counts(config: ExperimentConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One report row; the fields follow ``CSV_COLUMNS`` (``passed`` is the
+    ``pass`` column, and the report adds ``config_hash``)."""
+
     event_id: str
     n: int
     gamma: float
@@ -347,54 +346,23 @@ class ComparisonReport:
     def all_pass(self) -> bool:
         return all(row.passed for row in self.rows)
 
+    def _records(self) -> list[dict]:
+        """One mapping per row, keyed by ``CSV_COLUMNS`` in order."""
+        return [dict(zip(CSV_COLUMNS, (*astuple(row), self.config_hash))) for row in self.rows]
+
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        row.event_id,
-                        str(row.n),
-                        _fmt(row.gamma),
-                        row.lambda_law,
-                        str(row.reps),
-                        _fmt(row.p_hat),
-                        _fmt(row.se),
-                        _fmt(row.theory_limit),
-                        _fmt(row.theory_finite_n),
-                        _fmt(row.z_limit),
-                        _fmt(row.z_finite_n),
-                        "true" if row.passed else "false",
-                        self.config_hash,
-                    )
-                )
-            )
+        lines += [",".join(map(_csv_field, rec.values())) for rec in self._records()]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         """Strict JSON: non-finite numbers are written as null."""
-        rows = [
-            {
-                "event_id": row.event_id,
-                "n": row.n,
-                "gamma": row.gamma,
-                "lambda_law": row.lambda_law,
-                "reps": row.reps,
-                "p_hat": row.p_hat,
-                "se": row.se,
-                "theory_limit": row.theory_limit,
-                "theory_finite_n": row.theory_finite_n,
-                "z_limit": row.z_limit,
-                "z_finite_n": row.z_finite_n,
-                "pass": row.passed,
-                "config_hash": self.config_hash,
-            }
-            for row in self.rows
-        ]
         payload = {
             "config_hash": self.config_hash,
             "sigma": _json_number(self.sigma),
-            "rows": [{key: _json_number(value) for key, value in row.items()} for row in rows],
+            "rows": [
+                {key: _json_number(value) for key, value in rec.items()} for rec in self._records()
+            ],
         }
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -405,7 +373,11 @@ def _json_number(value):
     return value
 
 
-def _fmt(value: float | None) -> str:
+def _csv_field(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (str, int)):
+        return str(value)
     if value is None:
         return ""
     if value != value:  # NaN
@@ -425,27 +397,7 @@ def _event_theory(config: ExperimentConfig, event: Event) -> tuple[float | None,
 
 def evaluate_theory(config: ExperimentConfig) -> ComparisonReport:
     """Theory-only report: no simulation columns filled in."""
-    rows = []
-    law = config.missingness.limit_law().describe()
-    for event in config.events:
-        limit, finite = _event_theory(config, event)
-        rows.append(
-            ReportRow(
-                event_id=event.event_id,
-                n=config.n,
-                gamma=config.spec.gamma,
-                lambda_law=law,
-                reps=0,
-                p_hat=None,
-                se=None,
-                theory_limit=limit,
-                theory_finite_n=finite,
-                z_limit=None,
-                z_finite_n=None,
-                passed=True,
-            )
-        )
-    return ComparisonReport(rows=tuple(rows), config_hash=config.hash(), sigma=config.sigma)
+    return _report(config, None)
 
 
 def run_experiment(config: ExperimentConfig) -> ComparisonReport:
@@ -455,29 +407,34 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     one exists, otherwise against the limit value; events with no theory
     pass vacuously (they still report their estimates).
     """
-    counts = simulate_event_counts(config)
+    return _report(config, simulate_event_counts(config))
+
+
+def _report(config: ExperimentConfig, counts: np.ndarray | None) -> ComparisonReport:
+    """Report rows of the config's events, with estimates and z-scores when
+    hit ``counts`` are given."""
     law = config.missingness.limit_law().describe()
     rows = []
-    for event, hits in zip(config.events, counts):
-        est = estimate_from_count(event.event_id, int(hits), config.reps)
+    for i, event in enumerate(config.events):
         limit, finite = _event_theory(config, event)
-        z_limit = z_finite = None
+        est = z_limit = z_finite = None
         passed = True
-        if limit is not None:
-            z_limit, ok = compare_estimates(est, limit, config.sigma)
-            passed = ok
-        if finite is not None:
-            z_finite, ok = compare_estimates(est, finite, config.sigma)
-            passed = ok  # exact theory takes precedence over the limit
+        if counts is not None:
+            est = estimate_from_count(event.event_id, int(counts[i]), config.reps)
+            if limit is not None:
+                z_limit, passed = compare_estimates(est, limit, config.sigma)
+            if finite is not None:
+                # exact theory takes precedence over the limit
+                z_finite, passed = compare_estimates(est, finite, config.sigma)
         rows.append(
             ReportRow(
                 event_id=event.event_id,
                 n=config.n,
                 gamma=config.spec.gamma,
                 lambda_law=law,
-                reps=config.reps,
-                p_hat=est.p_hat,
-                se=est.se,
+                reps=0 if est is None else config.reps,
+                p_hat=None if est is None else est.p_hat,
+                se=None if est is None else est.se,
                 theory_limit=limit,
                 theory_finite_n=finite,
                 z_limit=z_limit,

@@ -87,10 +87,6 @@ class LambdaLaw:
         alpha, beta = self.params
         return alpha / (alpha + beta)
 
-    def is_atomic(self) -> bool:
-        """True when expectations over the law are exact finite sums."""
-        return self.kind in ("point", "discrete")
-
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray | float:
         if self.kind == "point":
             p = self.params[0]

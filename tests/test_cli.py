@@ -94,8 +94,9 @@ def test_config_errors_exit_2(tmp_path):
         lambda d: d["targets"][0]["terms"][0].update(k="a"),
         lambda d: d["model"].update(gamma="a"),
         lambda d: d.update(reps="x"),
+        lambda d: d.update(master_seed=-1),
     ],
-    ids=["model", "lambda_law", "terms", "k", "gamma", "reps"],
+    ids=["model", "lambda_law", "terms", "k", "gamma", "reps", "master_seed"],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, mutate):
     doc = copy.deepcopy(CONFIG)
@@ -115,6 +116,18 @@ def test_verify_fails_with_exit_1(tmp_path):
     path.write_text(json.dumps(doc))
     code = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--samples", "0"], ["--samples", "-3"], ["--seed", "-2"], ["--sigma", "-1"], ["--sigma", "nan"]],
+    ids=["samples0", "samples-3", "seed-2", "sigma-1", "sigma-nan"],
+)
+def test_oracle_bad_arguments_exit_2(tmp_path, capsys, argv):
+    out = str(tmp_path / "oracle")
+    assert main(["oracle", "--samples", "2000", *argv, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not os.path.exists(out)
 
 
 def test_oracle_subcommand_small(tmp_path, capsys):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapextremes.errors import InvalidParameterError
+from gapextremes.events import CompiledEvents, CountTerm, Event, LocationTerm, OrderStatTerm
 from gapextremes.extremes import (
+    CLASSES,
     IntervalFamily,
     LevelParams,
     exceedance_counts,
@@ -117,12 +119,10 @@ def test_kth_maximum_enumeration():
 
 
 def test_kth_maximum_strict_boundary():
-    # class of exactly k members: defined under the default, -inf when strict
+    # a class of exactly k members has a k-th maximum
     values = np.array([3.0, 1.0, 2.0])
     eps = np.array([1, 0, 1])
-    assert kth_maximum(values, eps, "observed", 2, strict=False) == 2.0
-    assert kth_maximum(values, eps, "observed", 2, strict=True) == -math.inf
-    assert kth_maximum(values, eps, "observed", 1, strict=True) == 3.0
+    assert kth_maximum(values, eps, "observed", 2) == 2.0
 
 
 def test_max_location():
@@ -223,3 +223,64 @@ def test_max_location_class_consistency(case):
         assert loc_all == max_location(values, eps, "observed")
     elif mis > obs:
         assert loc_all == max_location(values, eps, "missed")
+
+
+@given(
+    _path_case(),
+    st.sampled_from(["drawn", "observed", "missed"]),
+    st.booleans(),
+    st.lists(st.integers(1, 70), min_size=1, max_size=3),
+    _disjoint_family(),
+    st.floats(-2, 2),
+    st.integers(0, 4),
+    st.floats(0.01, 1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_observable_record_matches_reference(case, fill, ties, ks, family, x, value, s):
+    values, eps = case
+    if fill != "drawn":  # every coordinate in one class: the other is empty
+        eps = np.full(len(eps), int(fill == "observed"))
+    if ties:  # coarse values tie the maximum, and the first index wins
+        values = np.round(values)
+    n = len(values)
+    levels = (x, x + 0.5)
+    events = [
+        Event(which, tuple(OrderStatTerm(which, k, x) for k in ks) + (
+            CountTerm(which, family, levels[0], "eq", value),
+            CountTerm(which, family, levels[1], "le", value),
+            LocationTerm(which, s),
+        ))
+        for which in CLASSES
+    ]
+    compiled = CompiledEvents(events, n)
+    rec = compiled.record(values, eps.astype(bool))
+
+    lp = LevelParams.for_length(n)
+    counts = exceedance_counts(values, eps, levels, [family])
+    by_class = {"observed": counts.observed, "missed": counts.missed, "all": counts.total}
+    level_index = {lp.level(lev): i for i, lev in enumerate(levels)}
+    assert len(compiled.observables) == 3 * (len(set(ks)) + 3)
+    for col, (kind, which, *spec) in enumerate(compiled.observables):
+        if kind == "kth":
+            expected = kth_maximum(values, eps, which, spec[0])
+        elif kind == "count":
+            ranges, u = spec
+            assert list(ranges) == family.index_ranges(n)
+            expected = by_class[which][level_index[u], 0]
+        else:
+            loc = max_location(values, eps, which)
+            expected = math.inf if loc is None else loc
+        assert rec[col] == expected, (kind, which, spec)
+
+    hits = compiled(values, eps.astype(bool))
+    for event, hit in zip(events, hits):
+        which = event.event_id
+        count = by_class[which][:, 0]
+        loc = max_location(values, eps, which)
+        assert hit == (
+            all(kth_maximum(values, eps, which, k) <= lp.level(x) for k in ks)
+            and count[0] == value
+            and count[1] <= value
+            and loc is not None
+            and loc <= math.floor(s * n + 1e-9)
+        )

@@ -76,6 +76,7 @@ def test_parse_config_accepts_base():
         lambda d: d["missingness"].update(kind="sometimes"),
         lambda d: d.update(workers=0),
         lambda d: d.update(sigma=-1.0),
+        lambda d: d.update(sigma=math.nan),
     ],
 )
 def test_parse_config_rejects(mutate):
