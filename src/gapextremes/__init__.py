@@ -31,7 +31,6 @@ from .extremes import (
 from .gaussian import (
     CovarianceSpec,
     GaussianModel,
-    SamplePath,
     build_model,
     model_correlation,
     sample_path,
@@ -56,12 +55,7 @@ from .limit_oracle import (
     sample_limit_counts,
     sample_limit_maxima_locations,
 )
-from .missingness import (
-    IndicatorPath,
-    MissingnessModel,
-    observed_fraction,
-    sample_indicators,
-)
+from .missingness import MissingnessModel, sample_indicators
 from .harness import (
     ComparisonReport,
     EstimateRecord,

@@ -16,9 +16,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import astuple
 
 from .errors import ConfigError, GapExtremesError
-from .harness import evaluate_theory, parse_config, run_experiment, write_report
+from .harness import _csv_field, evaluate_theory, parse_config, run_experiment, write_report
 from .oracle_suite import counts_suite, maxima_suite
 
 
@@ -30,11 +31,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_config: bool) -> None:
-        if needs_config:
+    def add_common(p: argparse.ArgumentParser, experiment: bool) -> None:
+        if experiment:
             p.add_argument("--config", required=True, help="experiment config (JSON)")
+            p.add_argument("--workers", type=int, default=None, help="override worker count")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--workers", type=int, default=None, help="override worker count")
         p.add_argument("--out", default=None, help="report output directory (overrides config out_dir)")
         p.add_argument("--sigma", type=float, default=None, help="pass/fail z threshold")
 
@@ -44,11 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", "simulate and compare against theory"),
     ):
         p_exp = sub.add_parser(name, help=help_text)
-        add_common(p_exp, needs_config=True)
+        add_common(p_exp, experiment=True)
         p_exp.set_defaults(func=_cmd_experiment)
 
     p_orc = sub.add_parser("oracle", help="limit-sampler equivalence suites")
-    add_common(p_orc, needs_config=False)
+    add_common(p_orc, experiment=False)
     p_orc.add_argument("--samples", type=int, default=1_000_000, help="oracle sample count")
     p_orc.set_defaults(func=_cmd_oracle)
     return parser
@@ -111,10 +112,7 @@ def _cmd_oracle(args) -> int:
     with open(out_path, "w", newline="") as fh:
         fh.write("check_id,samples,empirical,theory,z,pass\n")
         for row in rows:
-            fh.write(
-                f"{row.check_id},{row.samples},{row.empirical:.17g},"
-                f"{row.theory:.17g},{row.z:.17g},{'true' if row.passed else 'false'}\n"
-            )
+            fh.write(",".join(map(_csv_field, astuple(row))) + "\n")
     failures = [row for row in rows if not row.passed]
     print(f"oracle checks: {len(rows)} total, {len(failures)} failed")
     for row in failures:

@@ -116,6 +116,15 @@ def _require_keys(doc: dict, required: set[str], optional: set[str], where: str)
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _integer(value, where: str) -> int:
+    """An integer config value.  An integral float such as ``3000.0`` is
+    accepted; a fractional or non-finite one is an error (``int`` would
+    truncate it or overflow)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_event(doc: dict) -> Event:
     """Build an Event from its JSON document form.  Unknown keys error."""
     _require_keys(doc, {"id", "terms"}, set(), "event")
@@ -127,13 +136,13 @@ def parse_event(doc: dict) -> Event:
         kind = term["type"]
         if kind == "order_stat":
             _require_keys(term, {"type", "class", "k", "x"}, set(), where)
-            terms.append(OrderStatTerm(term["class"], int(term["k"]), float(term["x"])))
+            k = _integer(term["k"], f"{where}: k")
+            terms.append(OrderStatTerm(term["class"], k, float(term["x"])))
         elif kind == "count":
             _require_keys(term, {"type", "class", "intervals", "x", "op", "value"}, set(), where)
             family = IntervalFamily.of(*term["intervals"])
-            terms.append(
-                CountTerm(term["class"], family, float(term["x"]), term["op"], int(term["value"]))
-            )
+            value = _integer(term["value"], f"{where}: value")
+            terms.append(CountTerm(term["class"], family, float(term["x"]), term["op"], value))
         elif kind == "location":
             _require_keys(term, {"type", "class", "s"}, set(), where)
             terms.append(LocationTerm(term["class"], float(term["s"])))

@@ -5,6 +5,8 @@ u_n(x) = x / a_n + b_n with a_n = sqrt(2 ln n) and
 b_n = a_n - (ln ln n + ln 4pi) / (2 a_n), which makes
 n * (1 - Phi(u_n(x))) -> exp(-x).
 
+Every function takes the path as an array of n values and the indicators
+as an array of n 0/1 or boolean entries, and returns plain numbers.
 Counts, order statistics and argmax locations are split into three
 classes: ``observed`` (eps_j = 1), ``missed`` (eps_j = 0) and ``all``.
 Missing members of a class are represented as -inf order statistics and
@@ -18,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .gaussian import SamplePath
-from .missingness import IndicatorPath
 
 __all__ = [
     "CLASSES",
@@ -140,15 +140,6 @@ class ExceedanceRecord:
         return self.observed + self.missed
 
 
-def _values(path) -> np.ndarray:
-    return path.values if isinstance(path, SamplePath) else np.asarray(path, dtype=float)
-
-
-def _indicators(eps) -> np.ndarray:
-    arr = eps.eps if isinstance(eps, IndicatorPath) else np.asarray(eps)
-    return arr.astype(bool)
-
-
 def _class_mask(eps_bool: np.ndarray, which: str) -> np.ndarray | None:
     if which == "observed":
         return eps_bool
@@ -164,8 +155,8 @@ def exceedance_counts(path, eps, levels, families) -> ExceedanceRecord:
 
     ``levels`` are x-arguments, converted internally through u_n.
     """
-    values = _values(path)
-    eps_bool = _indicators(eps)
+    values = np.asarray(path, dtype=float)
+    eps_bool = np.asarray(eps, dtype=bool)
     n = len(values)
     if len(eps_bool) != n:
         raise InvalidParameterError(
@@ -193,8 +184,8 @@ def kth_maximum(path, eps, which: str, k: int) -> float:
     k members."""
     if k < 1:
         raise InvalidParameterError(f"need k >= 1, got {k}")
-    values = _values(path)
-    mask = _class_mask(_indicators(eps), which)
+    values = np.asarray(path, dtype=float)
+    mask = _class_mask(np.asarray(eps, dtype=bool), which)
     cls_values = values if mask is None else values[mask]
     size = len(cls_values)
     if size < k:
@@ -205,8 +196,8 @@ def kth_maximum(path, eps, which: str, k: int) -> float:
 def max_location(path, eps, which: str) -> int | None:
     """Smallest 1-based index attaining the class maximum; None if the
     class is empty."""
-    values = _values(path)
-    mask = _class_mask(_indicators(eps), which)
+    values = np.asarray(path, dtype=float)
+    mask = _class_mask(np.asarray(eps, dtype=bool), which)
     if mask is None:
         return int(np.argmax(values)) + 1
     if not mask.any():

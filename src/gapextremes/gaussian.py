@@ -11,6 +11,8 @@ Three stationary families, all with unit marginal variance:
 * ``log_decay`` — genuine stationary covariance r_k = gamma / ln(k + shift),
   whose lag-k correlation times ln k tends to gamma.  Sampled exactly by
   circulant embedding (FFT) when the embedding is positive semidefinite.
+
+``sample_path`` returns the path itself, a float64 array of the n values.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ __all__ = [
     "FAMILIES",
     "CovarianceSpec",
     "GaussianModel",
-    "SamplePath",
     "build_model",
     "sample_path",
     "model_correlation",
@@ -70,26 +71,6 @@ class GaussianModel:
     spec: CovarianceSpec
     rho_n: float = 0.0
     spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def family(self) -> str:
-        return self.spec.family
-
-    @property
-    def gamma(self) -> float:
-        return self.spec.gamma
-
-
-@dataclass(frozen=True)
-class SamplePath:
-    """One realization of the model; ``latent_factor`` is the shared xi
-    for one_factor models and None otherwise."""
-
-    values: np.ndarray
-    latent_factor: float | None = None
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _log_decay_correlation(gamma: float, shift: float, k) -> np.ndarray:
@@ -153,28 +134,33 @@ def build_model(n: int, spec: CovarianceSpec) -> GaussianModel:
     return GaussianModel(n=n, spec=spec, spectrum=spectrum)
 
 
-def sample_path(model: GaussianModel, stream: np.random.Generator) -> SamplePath:
-    """Draw one path from the model using the given stream.
+def sample_path(model: GaussianModel, stream: np.random.Generator) -> np.ndarray:
+    """Draw one path from the model using the given stream: a float64
+    array of shape (n,).
 
     The draw order per call is fixed, so identical (model, stream state)
-    yields bit-identical paths.
+    yields bit-identical paths:
+
+    * iid — n standard normals, the path itself;
+    * one_factor — n standard normals Z, then the factor xi;
+    * log_decay — m standard normals for the real parts of the circulant
+      noise, then m for the imaginary parts (m the embedding size).
     """
     n = model.n
-    if model.family == "iid":
-        return SamplePath(values=stream.standard_normal(n))
-    if model.family == "one_factor":
-        z = stream.standard_normal(n)
-        xi = float(stream.standard_normal())
-        values = math.sqrt(1.0 - model.rho_n) * z
-        values += math.sqrt(model.rho_n) * xi
-        return SamplePath(values=values, latent_factor=xi)
+    family = model.spec.family
+    if family == "iid":
+        return stream.standard_normal(n)
+    if family == "one_factor":
+        values = math.sqrt(1.0 - model.rho_n) * stream.standard_normal(n)
+        values += math.sqrt(model.rho_n) * stream.standard_normal()
+        return values
     # log_decay: complex white noise shaped by the embedding spectrum; the
     # real part of the length-m transform carries the target covariance.
     spectrum = model.spectrum
     m = len(spectrum)
     noise = stream.standard_normal(m) + 1j * stream.standard_normal(m)
     y = np.fft.fft(np.sqrt(spectrum / m) * noise)
-    return SamplePath(values=y.real[:n].copy())
+    return y.real[:n].copy()
 
 
 def model_correlation(model: GaussianModel, k: int) -> float:
@@ -184,8 +170,8 @@ def model_correlation(model: GaussianModel, k: int) -> float:
         raise InvalidParameterError(f"lag must satisfy 0 <= k < n={model.n}, got {k}")
     if k == 0:
         return 1.0
-    if model.family == "iid":
+    if model.spec.family == "iid":
         return 0.0
-    if model.family == "one_factor":
+    if model.spec.family == "one_factor":
         return model.rho_n
-    return float(_log_decay_correlation(model.gamma, model.spec.shift, k))
+    return float(_log_decay_correlation(model.spec.gamma, model.spec.shift, k))

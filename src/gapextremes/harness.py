@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, GapExtremesError
 from .events import CompiledEvents, Event, parse_event, theory_finite_n, theory_limit
-from .events import _require_keys
+from .events import _integer, _require_keys
 from .gaussian import FAMILIES, CovarianceSpec, GaussianModel, build_model, sample_path
 from .lambdalaw import LambdaLaw
 from .limit_laws import LimitLawParams
@@ -174,7 +174,7 @@ def _parse_config(doc: dict) -> ExperimentConfig:
                 raise ConfigError("model: 'shift' applies to the log_decay family only")
             spec_kwargs["shift"] = float(model_doc["shift"])
         spec = CovarianceSpec(**spec_kwargs)
-        n = int(model_doc["n"])
+        n = _integer(model_doc["n"], "n")
         build_model(n, spec)  # fail fast on bad (n, spec)
     except GapExtremesError as exc:
         raise ConfigError(f"model: {exc}") from exc
@@ -189,13 +189,13 @@ def _parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"duplicate event id {event.event_id!r}")
         seen.add(event.event_id)
 
-    reps = int(doc["reps"])
+    reps = _integer(doc["reps"], "reps")
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {doc['reps']}")
-    workers = int(doc.get("workers", 1))
+    workers = _integer(doc.get("workers", 1), "workers")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    master_seed = int(doc["master_seed"])
+    master_seed = _integer(doc["master_seed"], "master_seed")
     if master_seed < 0:
         raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
     sigma = float(doc.get("sigma", 4.0))
@@ -276,7 +276,7 @@ def compare_estimates(
         z = (est.p_hat - theory) / se
     else:
         z = 0.0 if est.p_hat == theory else math.inf
-    return z, abs(z) <= sigma_threshold
+    return z, bool(abs(z) <= sigma_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +289,9 @@ def _simulate_range(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     counts = np.zeros(len(config.events), dtype=np.int64)
     seed = config.master_seed
     for r in range(lo, hi):
-        path = sample_path(model, substream(seed, r, "path"))
-        ind = sample_indicators(config.missingness, config.n, substream(seed, r, "indicators"))
-        counts += compiled(path.values, ind.eps.astype(bool))
+        values = sample_path(model, substream(seed, r, "path"))
+        eps = sample_indicators(config.missingness, config.n, substream(seed, r, "indicators"))
+        counts += compiled(values, eps)
     return counts
 
 

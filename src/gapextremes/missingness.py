@@ -1,7 +1,8 @@
 """Observation-indicator models.
 
-Each model produces a 0/1 vector eps of length n whose observed fraction
-S_n / n converges (in probability) to a possibly random limit:
+Each model produces an indicator vector eps of length n, a boolean array
+with True meaning observed, whose observed fraction S_n / n converges (in
+probability) to a possibly random limit:
 
 * ``iid_bernoulli`` — independent Bernoulli(p), constant limit p.
 * ``exchangeable`` — draw the fraction once per replication from a
@@ -10,7 +11,9 @@ S_n / n converges (in probability) to a possibly random limit:
   limit equal to the word's density.
 
 Indicators are sampled from their own stream, independent of whatever
-stream drives the Gaussian path.
+stream drives the Gaussian path.  Per call, ``exchangeable`` draws its
+fraction first and then n uniforms, ``iid_bernoulli`` draws the n uniforms
+only, and ``periodic`` draws nothing.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .lambdalaw import LambdaLaw
 
-__all__ = ["MissingnessModel", "IndicatorPath", "sample_indicators", "observed_fraction"]
+__all__ = ["MissingnessModel", "sample_indicators"]
 
 _KINDS = ("iid_bernoulli", "exchangeable", "periodic")
 
@@ -71,47 +74,28 @@ class MissingnessModel:
         return self.kind == "periodic"
 
 
-@dataclass(frozen=True)
-class IndicatorPath:
-    """eps in {0,1}^n plus the realized limiting fraction: the drawn
-    lambda for exchangeable models, p for iid Bernoulli, the pattern
-    density for periodic words."""
-
-    eps: np.ndarray
-    realized_lambda: float
-
-    def __len__(self) -> int:
-        return len(self.eps)
-
-
 def fixed_pattern(model: MissingnessModel, n: int) -> np.ndarray:
-    """The deterministic eps of a periodic model, tiled to length n."""
+    """The deterministic eps of a periodic model, tiled to length n, as a
+    bool array."""
     if model.kind != "periodic":
         raise InvalidParameterError("fixed_pattern is defined for periodic models only")
-    word = np.asarray(model.pattern, dtype=np.uint8)
+    word = np.asarray(model.pattern, dtype=bool)
     reps = -(-n // len(word))
     return np.tile(word, reps)[:n]
 
 
 def sample_indicators(
     model: MissingnessModel, n: int, stream: np.random.Generator
-) -> IndicatorPath:
-    """Draw eps_1..eps_n from the model."""
+) -> np.ndarray:
+    """Draw eps_1..eps_n from the model: a bool array of shape (n,), True
+    meaning observed."""
     n = int(n)
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     if model.kind == "periodic":
-        eps = fixed_pattern(model, n)
-        return IndicatorPath(eps=eps, realized_lambda=sum(model.pattern) / len(model.pattern))
+        return fixed_pattern(model, n)
     if model.kind == "iid_bernoulli":
         lam = model.lambda_law.params[0]
     else:
         lam = float(model.lambda_law.sample(stream))
-    eps = (stream.random(n) < lam).astype(np.uint8)
-    return IndicatorPath(eps=eps, realized_lambda=lam)
-
-
-def observed_fraction(eps: IndicatorPath | np.ndarray) -> float:
-    """S_n / n for an indicator path."""
-    arr = eps.eps if isinstance(eps, IndicatorPath) else np.asarray(eps)
-    return float(np.mean(arr))
+    return stream.random(n) < lam

@@ -95,8 +95,23 @@ def test_config_errors_exit_2(tmp_path):
         lambda d: d["model"].update(gamma="a"),
         lambda d: d.update(reps="x"),
         lambda d: d.update(master_seed=-1),
+        # fractional values of integer fields are rejected, not truncated
+        lambda d: d.update(master_seed=1.5),
+        lambda d: d.update(reps=10.9),
+        lambda d: d.update(reps=float("inf")),  # JSON Infinity; int() overflows
+        lambda d: d.update(workers=1.9),
+        lambda d: d["model"].update(n=1000.7),
+        lambda d: d["targets"][0]["terms"][0].update(k=2.7),
+        lambda d: d["targets"][0]["terms"].append(
+            {"type": "count", "class": "observed", "intervals": [[0, 1]], "x": 0.0,
+             "op": "le", "value": 1.4}
+        ),
     ],
-    ids=["model", "lambda_law", "terms", "k", "gamma", "reps", "master_seed"],
+    ids=[
+        "model", "lambda_law", "terms", "k", "gamma", "reps", "master_seed",
+        "master_seed_fraction", "reps_fraction", "reps_inf", "workers_fraction", "n_fraction",
+        "k_fraction", "value_fraction",
+    ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, mutate):
     doc = copy.deepcopy(CONFIG)
@@ -130,11 +145,24 @@ def test_oracle_bad_arguments_exit_2(tmp_path, capsys, argv):
     assert not os.path.exists(out)
 
 
+def test_oracle_rejects_workers(tmp_path, capsys):
+    out = str(tmp_path / "oracle")
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--samples", "2000", "--workers", "2", "--out", out])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_oracle_subcommand_small(tmp_path, capsys):
     out = str(tmp_path / "oracle")
     code = main(["oracle", "--samples", "30000", "--seed", "1", "--out", out])
     assert code == 0
     files = os.listdir(out)
     assert any(f.startswith("oracle-") for f in files)
+    with open(os.path.join(out, "oracle-1-30000.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "check_id,samples,empirical,theory,z,pass"
+    assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"true"}
     stdout = capsys.readouterr().out
     assert "0 failed" in stdout

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -72,16 +73,22 @@ def test_log_decay_correlation_values():
 
 
 def test_determinism():
-    model = build_model(64, CovarianceSpec("log_decay", gamma=0.5))
-    a = sample_path(model, np.random.default_rng(42)).values
-    b = sample_path(model, np.random.default_rng(42)).values
-    assert np.array_equal(a, b)
+    for spec in (
+        CovarianceSpec("iid"),
+        CovarianceSpec("one_factor", gamma=0.5),
+        CovarianceSpec("log_decay", gamma=0.5),
+    ):
+        model = build_model(64, spec)
+        a = sample_path(model, np.random.default_rng(42))
+        b = sample_path(model, np.random.default_rng(42))
+        assert a.dtype == np.float64 and a.shape == (64,)
+        assert np.array_equal(a, b)
 
 
 def test_iid_pooled_moments_and_lag():
     model = build_model(100_000, CovarianceSpec("iid"))
     rng = np.random.default_rng(11)
-    pooled = np.concatenate([sample_path(model, rng).values for _ in range(10)])
+    pooled = np.concatenate([sample_path(model, rng) for _ in range(10)])
     n = len(pooled)
     assert abs(pooled.mean()) < 4.0 / math.sqrt(n)
     assert abs(pooled.var() - 1.0) < 4.0 * math.sqrt(2.0 / n)
@@ -96,7 +103,7 @@ def test_one_factor_pair_correlation():
     reps = 100_000
     pairs = np.empty((reps, 2))
     for r in range(reps):
-        pairs[r] = sample_path(model, rng).values[:2]
+        pairs[r] = sample_path(model, rng)[:2]
     corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
     se = (1.0 - RHO_100_GAMMA1**2) / math.sqrt(reps)
     assert abs(corr - RHO_100_GAMMA1) < 4.0 * se
@@ -112,9 +119,11 @@ def test_one_factor_latent_regression():
     rng = np.random.default_rng(17)
     xs, ys = np.empty(reps * n), np.empty(reps * n)
     for r in range(reps):
-        path = sample_path(model, rng)
-        xs[r * n : (r + 1) * n] = path.latent_factor
-        ys[r * n : (r + 1) * n] = path.values
+        # sample_path draws n normals, then xi: replay a copy of the stream
+        replay = copy.deepcopy(rng)
+        ys[r * n : (r + 1) * n] = sample_path(model, rng)
+        replay.standard_normal(n)
+        xs[r * n : (r + 1) * n] = replay.standard_normal()
     slope = np.dot(xs, ys) / np.dot(xs, xs)
     resid_var = np.var(ys - slope * xs)
     assert slope == pytest.approx(math.sqrt(rho), abs=0.01)
@@ -127,8 +136,8 @@ def test_one_factor_gamma_zero_matches_iid():
     one = build_model(1000, CovarianceSpec("one_factor", gamma=0.0))
     iid = build_model(1000, CovarianceSpec("iid"))
     rng = np.random.default_rng(3)
-    a = np.concatenate([sample_path(one, rng).values for _ in range(100)])
-    b = np.concatenate([sample_path(iid, rng).values for _ in range(100)])
+    a = np.concatenate([sample_path(one, rng) for _ in range(100)])
+    b = np.concatenate([sample_path(iid, rng) for _ in range(100)])
     assert stats.ks_2samp(a, b).pvalue > 0.01
 
 
@@ -136,7 +145,7 @@ def test_log_decay_sampling_matches_model_correlation():
     n, reps = 512, 4000
     model = build_model(n, CovarianceSpec("log_decay", gamma=0.5))
     rng = np.random.default_rng(7)
-    paths = np.stack([sample_path(model, rng).values for _ in range(reps)])
+    paths = np.stack([sample_path(model, rng) for _ in range(reps)])
     # within-path dependence inflates pooled-moment noise, so standard
     # errors come from the spread of per-path statistics
     per_mean = paths.mean(axis=1)
@@ -148,10 +157,3 @@ def test_log_decay_sampling_matches_model_correlation():
         est = per_path.mean()
         se = per_path.std(ddof=1) / math.sqrt(reps)
         assert abs(est - model_correlation(model, k)) < 4.0 * se
-
-
-def test_latent_factor_presence():
-    rng = np.random.default_rng(0)
-    assert sample_path(build_model(10, CovarianceSpec("iid")), rng).latent_factor is None
-    path = sample_path(build_model(10, CovarianceSpec("one_factor", gamma=0.5)), rng)
-    assert isinstance(path.latent_factor, float)

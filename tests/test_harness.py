@@ -112,6 +112,12 @@ def test_config_hash_normalizes_numbers():
     doc["reps"] = 3000.0
     doc["sigma"] = 5
     assert config_hash(doc) == config_hash(_config())
+    # integral floats in the other integer fields are accepted alike
+    doc["model"]["n"] = 300.0
+    doc["master_seed"] = 777.0
+    doc["workers"] = 1.0
+    doc["targets"][0]["terms"][0]["k"] = 1.0
+    assert config_hash(doc) == config_hash(_config())
 
 
 def test_config_hash_ignores_execution_only_keys():

@@ -353,7 +353,7 @@ def test_finite_n_against_one_factor_simulation():
     ux, uy = lp.level(x), lp.level(y)
     hits = 0
     for r in range(reps):
-        v = sample_path(model, substream(314, r, "path")).values
+        v = sample_path(model, substream(314, r, "path"))
         ok = True
         for lo, hi in ranges:
             seg, seg_eps = v[lo:hi], eps[lo:hi]

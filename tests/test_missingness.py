@@ -7,7 +7,6 @@ from gapextremes.lambdalaw import LambdaLaw
 from gapextremes.missingness import (
     MissingnessModel,
     fixed_pattern,
-    observed_fraction,
     sample_indicators,
 )
 from gapextremes.streams import substream
@@ -16,25 +15,16 @@ from gapextremes.streams import substream
 def test_all_observed():
     model = MissingnessModel.iid_bernoulli(1.0)
     out = sample_indicators(model, 5, np.random.default_rng(0))
-    assert out.eps.tolist() == [1, 1, 1, 1, 1]
-    assert out.realized_lambda == 1.0
+    assert out.tolist() == [1, 1, 1, 1, 1]
 
 
 def test_periodic_pattern():
     model = MissingnessModel.periodic("10")
     out = sample_indicators(model, 6, np.random.default_rng(0))
-    assert out.eps.tolist() == [1, 0, 1, 0, 1, 0]
-    assert out.realized_lambda == 0.5
-    # tiling truncates, but the density reported is the word's
+    assert out.tolist() == [1, 0, 1, 0, 1, 0]
+    # tiling truncates
     out7 = sample_indicators(model, 7, np.random.default_rng(0))
-    assert out7.eps.tolist() == [1, 0, 1, 0, 1, 0, 1]
-    assert out7.realized_lambda == 0.5
-
-
-def test_observed_fraction():
-    assert observed_fraction(np.array([1, 1, 1, 1, 1])) == 1.0
-    assert observed_fraction(np.array([0, 0, 0, 0, 0])) == 0.0
-    assert observed_fraction(np.array([1, 0, 1, 1, 0])) == pytest.approx(0.6)
+    assert out7.tolist() == [1, 0, 1, 0, 1, 0, 1]
 
 
 def test_validation():
@@ -56,7 +46,7 @@ def test_exchangeable_uniform_fraction_ks():
     reps, n = 10_000, 10_000
     fractions = np.empty(reps)
     for r in range(reps):
-        fractions[r] = observed_fraction(sample_indicators(model, n, substream(2024, r, "ind")))
+        fractions[r] = sample_indicators(model, n, substream(2024, r, "ind")).mean()
     assert stats.kstest(fractions, "uniform").pvalue > 0.01
 
 
@@ -67,7 +57,9 @@ def test_exchangeable_concentrates_on_lambda():
     gaps = np.empty(reps)
     for r in range(reps):
         out = sample_indicators(model, n, substream(7, r, "ind"))
-        gaps[r] = abs(observed_fraction(out) - out.realized_lambda)
+        # Lambda is the first draw of the indicator stream
+        lam = model.lambda_law.sample(substream(7, r, "ind"))
+        gaps[r] = abs(out.mean() - lam)
     assert gaps.mean() < 0.02
 
 
@@ -86,8 +78,13 @@ def test_fixed_pattern_requires_periodic():
 def test_indicator_stream_decoupled_from_path_stream():
     # indicators depend only on their own substream: regenerating with the
     # same indicator stream is bit-identical no matter what other streams did
-    model = MissingnessModel.exchangeable(LambdaLaw.uniform(0, 1))
-    a = sample_indicators(model, 1000, substream(1, 0, "indicators")).eps
-    _ = substream(99, 0, "path").standard_normal(12345)  # unrelated consumption
-    b = sample_indicators(model, 1000, substream(1, 0, "indicators")).eps
-    assert np.array_equal(a, b)
+    for model in (
+        MissingnessModel.iid_bernoulli(0.3),
+        MissingnessModel.exchangeable(LambdaLaw.uniform(0, 1)),
+        MissingnessModel.periodic("110"),
+    ):
+        a = sample_indicators(model, 1000, substream(1, 0, "indicators"))
+        _ = substream(99, 0, "path").standard_normal(12345)  # unrelated consumption
+        b = sample_indicators(model, 1000, substream(1, 0, "indicators"))
+        assert a.dtype == bool and a.shape == (1000,)
+        assert np.array_equal(a, b)
