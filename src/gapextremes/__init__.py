@@ -61,7 +61,6 @@ from .harness import (
     EstimateRecord,
     ExperimentConfig,
     compare_estimates,
-    estimate_event_probability,
     parse_config,
     run_experiment,
 )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import astuple
@@ -102,8 +103,8 @@ def _cmd_oracle(args) -> int:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
-    if not sigma > 0:  # NaN too
-        raise ConfigError(f"--sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:  # NaN too
+        raise ConfigError(f"--sigma must be positive and finite, got {sigma}")
     rows = counts_suite(samples=args.samples, seed=seed, sigma=sigma)
     rows += maxima_suite(samples=args.samples, seed=seed, sigma=sigma)
     out_dir = args.out if args.out is not None else "reports"

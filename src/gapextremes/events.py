@@ -1,18 +1,21 @@
 """Event vocabulary of the experiment driver.
 
 An event is a conjunction of threshold terms on the observables of one
-replication: order statistics against levels, exceedance counts over
-interval families, and scaled argmax locations.  These are exactly the
-event shapes whose limits the closed-form evaluators cover, so most
-events can be given a theoretical value automatically; events outside the
-recognized shapes simulate fine but carry no theory columns.
+replication: exceedance counts over interval families and scaled argmax
+locations.  An order statistic is an exceedance count: the k-th largest
+value of a class is at most u_n(x) exactly when fewer than k class values
+exceed u_n(x), so ``order_stat`` parses to a count of at most k - 1 over
+the whole path.  These are exactly the event shapes whose limits the
+closed-form evaluators cover, so most events can be given a theoretical
+value automatically; events outside the recognized shapes simulate fine
+but carry no theory columns.
 
 For simulation, ``CompiledEvents`` reduces a replication to one
 *observable record*: a float vector with one column per distinct
-observable the events mention (a class k-th maximum, a class exceedance
-count over a family at a level, a class argmax location).  Every term is
-a bound on one column, so an event is a conjunction of interval checks
-on the record, whichever sampler produced it.  ``extremes`` computes the
+observable the events mention, of two kinds: a class exceedance count
+over a family at a level, and a class argmax location.  Every term is a
+bound on one column, so an event is a conjunction of interval checks on
+the record, whichever sampler produced it.  ``extremes`` computes the
 same observables one at a time and is the reference the record is tested
 against.
 """
@@ -29,10 +32,10 @@ from .extremes import CLASSES, IntervalFamily, LevelParams
 from .limit_laws import LimitLawParams
 
 __all__ = [
-    "OrderStatTerm",
     "CountTerm",
     "LocationTerm",
     "Event",
+    "order_stat",
     "parse_event",
     "CompiledEvents",
     "theory_limit",
@@ -41,23 +44,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class OrderStatTerm:
-    """k-th largest of a class stays below u_n(x)."""
-
-    which: str
-    k: int
-    x: float
-
-    def __post_init__(self) -> None:
-        if self.which not in CLASSES:
-            raise ConfigError(f"unknown class {self.which!r}")
-        if self.k < 1:
-            raise ConfigError(f"order statistic rank must be >= 1, got {self.k}")
-
-
-@dataclass(frozen=True)
 class CountTerm:
-    """Class exceedance count of a family at level x, compared to a value."""
+    """Class exceedance count of a family at level x, compared to a value.
+
+    The level may be infinite (+inf: nothing exceeds it; -inf: every class
+    member does) but not NaN."""
 
     which: str
     family: IntervalFamily
@@ -68,13 +59,21 @@ class CountTerm:
     def __post_init__(self) -> None:
         if self.which not in CLASSES:
             raise ConfigError(f"unknown class {self.which!r}")
+        if math.isnan(self.x):
+            raise ConfigError("level x must be a number or +-Infinity, got NaN")
         if self.op not in ("eq", "le"):
             raise ConfigError(f"count op must be 'eq' or 'le', got {self.op!r}")
         if self.value < 0:
             raise ConfigError(f"count value must be >= 0, got {self.value}")
 
-    def is_void(self) -> bool:
-        return self.value == 0
+
+def order_stat(which: str, k: int, x: float) -> CountTerm:
+    """The k-th largest value of a class is at most u_n(x): fewer than k
+    class values over the whole path exceed u_n(x).  A class with fewer
+    than k members satisfies it."""
+    if k < 1:
+        raise ConfigError(f"order statistic rank must be >= 1, got {k}")
+    return CountTerm(which, IntervalFamily.unit(), x, "le", k - 1)
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ def parse_event(doc: dict) -> Event:
         if kind == "order_stat":
             _require_keys(term, {"type", "class", "k", "x"}, set(), where)
             k = _integer(term["k"], f"{where}: k")
-            terms.append(OrderStatTerm(term["class"], k, float(term["x"])))
+            terms.append(order_stat(term["class"], k, float(term["x"])))
         elif kind == "count":
             _require_keys(term, {"type", "class", "intervals", "x", "op", "value"}, set(), where)
             family = IntervalFamily.of(*term["intervals"])
@@ -156,14 +155,13 @@ class CompiledEvents:
     per replication.
 
     ``observables`` lists the distinct observables the events mention, one
-    record column each: ``("kth", which, k)``, the k-th maximum of a class;
-    ``("count", which, ranges, u)``, the class exceedance count above level
-    u over the 0-based half-open index ranges of a family; and
-    ``("location", which)``, the 1-based index of the first class maximum.
-    ``record(values, eps_bool)`` computes every column once per path.
-    Every term is one bound lo <= record[col] <= hi, and calling with
-    (values, eps_bool) returns one boolean per event: whether all its
-    bounds hold.
+    record column each: ``("count", which, ranges, u)``, the class
+    exceedance count above level u over the 0-based half-open index ranges
+    of a family; and ``("location", which)``, the 1-based index of the
+    first class maximum.  ``record(values, eps_bool)`` computes every
+    column once per path.  Every term is one bound lo <= record[col] <= hi,
+    and calling with (values, eps_bool) returns one boolean per event:
+    whether all its bounds hold.
     """
 
     def __init__(self, events, n: int):
@@ -175,10 +173,7 @@ class CompiledEvents:
         for event in self.events:
             starts.append(len(cols))
             for term in event.terms:
-                if isinstance(term, OrderStatTerm):
-                    key = ("kth", term.which, term.k)
-                    bounds = (-math.inf, lp.level(term.x))
-                elif isinstance(term, CountTerm):
+                if isinstance(term, CountTerm):
                     ranges = tuple(term.family.index_ranges(self.n))
                     key = ("count", term.which, ranges, lp.level(term.x))
                     bounds = (term.value if term.op == "eq" else -math.inf, term.value)
@@ -195,9 +190,9 @@ class CompiledEvents:
 
     def record(self, values: np.ndarray, eps_bool: np.ndarray) -> np.ndarray:
         """The observable record of one path: one float per column of
-        ``observables``.  An empty class has k-th maximum -inf and location
-        +inf."""
-        # a class is the path with every non-member at -inf
+        ``observables``.  An empty class has location +inf."""
+        # a class is the path with every non-member at -inf, which exceeds
+        # no level
         masked = {
             which: values if which == "all"
             else np.where(eps_bool if which == "observed" else ~eps_bool, values, -np.inf)
@@ -206,15 +201,7 @@ class CompiledEvents:
         rec = np.empty(len(self.observables))
         for col, (kind, which, *spec) in enumerate(self.observables):
             arr = masked[which]
-            if kind == "kth":
-                (k,) = spec
-                if k > self.n:
-                    rec[col] = -np.inf
-                elif k == 1:
-                    rec[col] = arr.max()
-                else:
-                    rec[col] = np.partition(arr, self.n - k)[self.n - k]
-            elif kind == "count":
+            if kind == "count":
                 ranges, u = spec
                 rec[col] = sum(np.count_nonzero(arr[a:b] > u) for a, b in ranges)
             else:
@@ -228,10 +215,9 @@ class CompiledEvents:
 
 
 def _split_terms(event: Event):
-    order = [t for t in event.terms if isinstance(t, OrderStatTerm)]
     counts = [t for t in event.terms if isinstance(t, CountTerm)]
     locs = [t for t in event.terms if isinstance(t, LocationTerm)]
-    return order, counts, locs
+    return counts, locs
 
 
 def _families_disjoint(families) -> bool:
@@ -239,11 +225,24 @@ def _families_disjoint(families) -> bool:
     return all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
 
 
+def _path_bounds(count_terms) -> dict[str, tuple[int, float]] | None:
+    """class -> (k, x) when every term bounds a class count over the whole
+    path from above, count <= k - 1 at level x (the k-th class maximum is
+    at most u_n(x)), at most once per class; otherwise None."""
+    spec: dict[str, tuple[int, float]] = {}
+    for term in count_terms:
+        upper = term.op == "le" or term.value == 0
+        if not upper or term.family != IntervalFamily.unit() or term.which in spec:
+            return None
+        spec[term.which] = (term.value + 1, term.x)
+    return spec
+
+
 def _void_cells(count_terms) -> list[tuple[IntervalFamily, float, float]] | None:
     """Group void count terms into per-family (observed level, missed level)
     cells, folding multiple levels per class through nesting (a count void
     at two levels is void at the lower one)."""
-    if not all(t.is_void() for t in count_terms):
+    if any(t.value != 0 for t in count_terms):
         return None
     by_family: dict[IntervalFamily, tuple[float, float]] = {}
     for term in count_terms:
@@ -258,25 +257,19 @@ def _void_cells(count_terms) -> list[tuple[IntervalFamily, float, float]] | None
     return [(fam, x, y) for fam, (x, y) in by_family.items()]
 
 
-def _order_stat_levels(order_terms) -> dict[str, tuple[int, float]] | None:
-    """class -> (k, x), or None when a class appears twice."""
-    spec: dict[str, tuple[int, float]] = {}
-    for term in order_terms:
-        if term.which in spec:
-            return None
-        spec[term.which] = (term.k, term.x)
-    return spec
-
-
 def theory_limit(event: Event, params: LimitLawParams) -> float | None:
     """Limiting probability of the event, or None when the event does not
-    match a closed-form shape."""
-    order, counts, locs = _split_terms(event)
+    match a closed-form shape.
 
-    if order and not counts and not locs:
-        spec = _order_stat_levels(order)
-        if spec is None or len(spec) == 3:
-            return None
+    Shapes are tried in order: argmax locations (with k = 1 heights);
+    whole-path upper bounds on fewer than three classes (order statistics);
+    void cells on disjoint families; 'eq' counts (the joint count pmf)."""
+    counts, locs = _split_terms(event)
+    if locs:
+        return _locations_theory(counts, locs, params)
+
+    spec = _path_bounds(counts)
+    if spec is not None and len(spec) < 3:
         # an absent class is the dropped constraint (rank 1 at +inf)
         unconstrained = (1, math.inf)
         if "all" not in spec:
@@ -286,18 +279,12 @@ def theory_limit(event: Event, params: LimitLawParams) -> float | None:
         (k, x), (m, y) = spec.get(which, unconstrained), spec["all"]
         return limit_laws.order_stats_vs_all_cdf(params, which, k, m, x, y)
 
-    if counts and not order and not locs:
-        cells = _void_cells(counts)
-        if cells is not None:
-            return limit_laws.void_probability_intervals(
-                params, [(fam.measure, x, y) for fam, x, y in cells]
-            )
-        return _counts_pmf_theory(counts, params)
-
-    if locs and not counts:
-        return _locations_theory(order, locs, params)
-
-    return None
+    cells = _void_cells(counts)
+    if cells is not None:
+        return limit_laws.void_probability_intervals(
+            params, [(fam.measure, x, y) for fam, x, y in cells]
+        )
+    return _counts_pmf_theory(counts, params)
 
 
 def _counts_pmf_theory(counts, params: LimitLawParams) -> float | None:
@@ -336,13 +323,13 @@ def _counts_pmf_theory(counts, params: LimitLawParams) -> float | None:
     return None
 
 
-def _locations_theory(order, locs, params: LimitLawParams) -> float | None:
+def _locations_theory(counts, locs, params: LimitLawParams) -> float | None:
     loc_spec: dict[str, float] = {}
     for term in locs:
         if term.which in loc_spec:
             return None
         loc_spec[term.which] = term.s
-    height_spec = _order_stat_levels(order)
+    height_spec = _path_bounds(counts)
     if height_spec is None or any(k != 1 for k, _ in height_spec.values()):
         return None
     if not set(height_spec) <= set(loc_spec):
@@ -390,31 +377,13 @@ def theory_finite_n(event: Event, n: int, gamma: float, pattern: np.ndarray | No
     for void-type events under a deterministic indicator pattern."""
     if pattern is None:
         return None
-    pattern = np.asarray(pattern).astype(bool)
-    order, counts, locs = _split_terms(event)
-    if locs:
+    counts, locs = _split_terms(event)
+    grouped = None if locs else _void_cells(counts)
+    if grouped is None:
         return None
-
-    if order and not counts:
-        spec = _order_stat_levels(order)
-        if spec is None or any(k != 1 for k, _ in spec.values()):
-            return None
-        x_eff = min(spec.get("observed", (1, math.inf))[1], spec.get("all", (1, math.inf))[1])
-        y_eff = min(spec.get("missed", (1, math.inf))[1], spec.get("all", (1, math.inf))[1])
-        n_obs = int(pattern.sum())
-        cells = [(n_obs, n - n_obs, x_eff, y_eff)]
-        return limit_laws.finite_n_one_factor_prob(n, gamma, cells)
-
-    if counts and not order:
-        grouped = _void_cells(counts)
-        if grouped is None:
-            return None
-        cells = []
-        for family, x_eff, y_eff in grouped:
-            mask = family.member_mask(n)
-            n_obs = int((pattern & mask).sum())
-            n_miss = int((~pattern & mask).sum())
-            cells.append((n_obs, n_miss, x_eff, y_eff))
-        return limit_laws.finite_n_one_factor_prob(n, gamma, cells)
-
-    return None
+    pattern = np.asarray(pattern).astype(bool)
+    cells = []
+    for family, x_eff, y_eff in grouped:
+        mask = family.member_mask(n)
+        cells.append((int((pattern & mask).sum()), int((~pattern & mask).sum()), x_eff, y_eff))
+    return limit_laws.finite_n_one_factor_prob(n, gamma, cells)

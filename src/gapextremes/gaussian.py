@@ -57,9 +57,10 @@ class CovarianceSpec:
             raise InvalidParameterError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.family == "iid" and self.gamma != 0.0:
             raise InvalidParameterError("iid family requires gamma = 0")
-        if self.family == "log_decay" and self.shift <= 1.0 - math.e:
+        if self.family == "log_decay" and not 1.0 - math.e < self.shift < math.inf:  # NaN too
             raise InvalidParameterError(
-                f"log_decay shift must exceed 1 - e so ln(k + shift) is defined, got {self.shift}"
+                "log_decay shift must be finite and exceed 1 - e so ln(k + shift) is defined, "
+                f"got {self.shift}"
             )
 
 

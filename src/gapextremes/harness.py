@@ -36,7 +36,6 @@ __all__ = [
     "ComparisonReport",
     "parse_config",
     "config_hash",
-    "estimate_event_probability",
     "compare_estimates",
     "run_experiment",
     "evaluate_theory",
@@ -171,7 +170,7 @@ def _parse_config(doc: dict) -> ExperimentConfig:
         spec_kwargs = {"family": family, "gamma": float(model_doc.get("gamma", 0.0))}
         if "shift" in model_doc:
             if family != "log_decay":
-                raise ConfigError("model: 'shift' applies to the log_decay family only")
+                raise ConfigError("'shift' applies to the log_decay family only")
             spec_kwargs["shift"] = float(model_doc["shift"])
         spec = CovarianceSpec(**spec_kwargs)
         n = _integer(model_doc["n"], "n")
@@ -199,8 +198,8 @@ def _parse_config(doc: dict) -> ExperimentConfig:
     if master_seed < 0:
         raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
     sigma = float(doc.get("sigma", 4.0))
-    if not sigma > 0:  # NaN too
-        raise ConfigError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:  # NaN too
+        raise ConfigError(f"sigma must be positive and finite, got {sigma}")
     return ExperimentConfig(
         spec=spec,
         n=n,
@@ -248,14 +247,6 @@ def estimate_from_count(event_id: str, hits: int, reps: int) -> EstimateRecord:
         ci_low=max(0.0, p - CI99_Z * se),
         ci_high=min(1.0, p + CI99_Z * se),
     )
-
-
-def estimate_event_probability(samples, reps: int | None = None) -> EstimateRecord:
-    """Binomial estimate from a stream of event indicators."""
-    arr = np.fromiter((bool(s) for s in samples), dtype=bool)
-    if reps is not None and len(arr) != reps:
-        raise ConfigError(f"indicator stream has {len(arr)} entries, expected {reps}")
-    return estimate_from_count("", int(arr.sum()), len(arr))
 
 
 def compare_estimates(

@@ -7,6 +7,7 @@ quadrature for the continuous ones).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,7 @@ class LambdaLaw:
             raise InvalidParameterError("values and weights must be equal-length and nonempty")
         if any(not 0.0 <= v <= 1.0 for v in values):
             raise InvalidParameterError("discrete atoms must lie in [0,1]")
-        if any(w <= 0.0 for w in weights):
+        if any(not w > 0.0 for w in weights):  # NaN too
             raise InvalidParameterError("weights must be positive")
         total = sum(weights)
         if abs(total - 1.0) > 1e-9:
@@ -69,8 +70,10 @@ class LambdaLaw:
     @classmethod
     def beta(cls, alpha: float, beta: float) -> "LambdaLaw":
         alpha, beta = float(alpha), float(beta)
-        if alpha <= 0.0 or beta <= 0.0:
-            raise InvalidParameterError("beta shape parameters must be positive")
+        if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):  # NaN too
+            raise InvalidParameterError(
+                f"beta shape parameters must be positive and finite, got {alpha}, {beta}"
+            )
         return cls("beta", (alpha, beta))
 
     # -- queries -----------------------------------------------------------

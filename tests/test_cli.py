@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 
 import pytest
@@ -106,11 +107,27 @@ def test_config_errors_exit_2(tmp_path):
             {"type": "count", "class": "observed", "intervals": [[0, 1]], "x": 0.0,
              "op": "le", "value": 1.4}
         ),
+        # NaN and infinite values fail the range checks (JSON NaN and Infinity)
+        lambda d: d["targets"][0]["terms"][0].update(x=math.nan),
+        lambda d: d["targets"][0]["terms"].append(
+            {"type": "count", "class": "observed", "intervals": [[0, 0.5]], "x": math.nan,
+             "op": "eq", "value": 0}
+        ),
+        lambda d: d.update(missingness={"kind": "exchangeable", "lambda_law": {
+            "kind": "beta", "alpha": math.nan, "beta": 2.0}}),
+        lambda d: d.update(missingness={"kind": "exchangeable", "lambda_law": {
+            "kind": "beta", "alpha": math.inf, "beta": 2.0}}),
+        lambda d: d.update(missingness={"kind": "exchangeable", "lambda_law": {
+            "kind": "discrete", "values": [0.2, 0.5], "weights": [math.nan, 1.0]}}),
+        lambda d: d["model"].update(family="log_decay", shift=math.nan),
+        lambda d: d["model"].update(family="log_decay", shift=math.inf),
+        lambda d: d.update(sigma=math.inf),
     ],
     ids=[
         "model", "lambda_law", "terms", "k", "gamma", "reps", "master_seed",
         "master_seed_fraction", "reps_fraction", "reps_inf", "workers_fraction", "n_fraction",
-        "k_fraction", "value_fraction",
+        "k_fraction", "value_fraction", "x_nan", "count_x_nan", "beta_alpha_nan",
+        "beta_alpha_inf", "discrete_weight_nan", "shift_nan", "shift_inf", "sigma_inf",
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, mutate):
@@ -120,6 +137,17 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, mutate):
     path.write_text(json.dumps(doc))
     assert main(["evaluate", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_model_error_has_one_prefix(tmp_path, capsys):
+    doc = copy.deepcopy(CONFIG)
+    doc["model"]["shift"] = 2.0
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: model: 'shift' applies to the log_decay family only\n"
+    )
 
 
 def test_verify_fails_with_exit_1(tmp_path):
@@ -135,8 +163,9 @@ def test_verify_fails_with_exit_1(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--samples", "0"], ["--samples", "-3"], ["--seed", "-2"], ["--sigma", "-1"], ["--sigma", "nan"]],
-    ids=["samples0", "samples-3", "seed-2", "sigma-1", "sigma-nan"],
+    [["--samples", "0"], ["--samples", "-3"], ["--seed", "-2"], ["--sigma", "-1"], ["--sigma", "nan"],
+     ["--sigma", "inf"]],
+    ids=["samples0", "samples-3", "seed-2", "sigma-1", "sigma-nan", "sigma-inf"],
 )
 def test_oracle_bad_arguments_exit_2(tmp_path, capsys, argv):
     out = str(tmp_path / "oracle")

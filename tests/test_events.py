@@ -10,7 +10,7 @@ from gapextremes.events import (
     CountTerm,
     Event,
     LocationTerm,
-    OrderStatTerm,
+    order_stat,
     parse_event,
     theory_finite_n,
     theory_limit,
@@ -22,8 +22,10 @@ from gapextremes.extremes import (
     kth_maximum,
     max_location,
 )
+from gapextremes.harness import parse_config
 from gapextremes.lambdalaw import LambdaLaw
 from gapextremes.limit_laws import LimitLawParams
+from gapextremes.missingness import MissingnessModel, fixed_pattern
 
 PARAMS = LimitLawParams(0.5, LambdaLaw.beta(2.0, 2.0))
 INF = math.inf
@@ -41,7 +43,7 @@ def test_parse_event_roundtrip():
     }
     event = parse_event(doc)
     assert event.event_id == "ev"
-    assert event.terms[0] == OrderStatTerm("observed", 2, 0.5)
+    assert event.terms[0] == order_stat("observed", 2, 0.5)
     assert isinstance(event.terms[1], CountTerm)
     assert event.terms[2] == LocationTerm("all", 0.25)
 
@@ -63,12 +65,12 @@ def test_compiled_events_match_direct_functions():
     n = 200
     family = IntervalFamily.of((0.1, 0.4), (0.6, 0.9))
     events = [
-        Event("a", (OrderStatTerm("observed", 1, 0.0), OrderStatTerm("missed", 1, 0.5))),
-        Event("b", (OrderStatTerm("all", 3, -0.5),)),
+        Event("a", (order_stat("observed", 1, 0.0), order_stat("missed", 1, 0.5))),
+        Event("b", (order_stat("all", 3, -0.5),)),
         Event("c", (CountTerm("observed", family, 0.0, "eq", 0),
                     CountTerm("missed", family, 0.2, "le", 2))),
         Event("d", (LocationTerm("observed", 0.5), LocationTerm("all", 0.25))),
-        Event("e", (OrderStatTerm("observed", 2, 0.3), LocationTerm("missed", 0.75))),
+        Event("e", (order_stat("observed", 2, 0.3), LocationTerm("missed", 0.75))),
     ]
     compiled = CompiledEvents(events, n)
     lp = LevelParams.for_length(n)
@@ -90,6 +92,42 @@ def test_compiled_events_match_direct_functions():
         assert got.tolist() == expected
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize(
+    "pair", [("observed", "missed"), ("observed", "all"), ("missed", "all")], ids="-".join
+)
+def test_order_stat_spells_a_whole_path_count(pair, k):
+    # k-th class maximum <= u_n(x) iff at most k - 1 class values exceed u_n(x)
+    levels = (0.1, 0.4)
+    order_doc = {"id": "e", "terms": [
+        {"type": "order_stat", "class": which, "k": k, "x": x} for which, x in zip(pair, levels)]}
+    count_doc = {"id": "e", "terms": [
+        {"type": "count", "class": which, "intervals": [[0, 1]], "x": x, "op": "le", "value": k - 1}
+        for which, x in zip(pair, levels)]}
+    by_order, by_count = parse_event(order_doc), parse_event(count_doc)
+
+    limit = theory_limit(by_order, PARAMS)
+    assert limit is not None and limit == theory_limit(by_count, PARAMS)
+
+    n, gamma = 60, 0.5
+    pattern = fixed_pattern(MissingnessModel.periodic("10"), n)
+    finite = theory_finite_n(by_order, n, gamma, pattern)
+    assert finite == theory_finite_n(by_count, n, gamma, pattern)
+    assert (finite is not None) == (k == 1)
+
+    rng = np.random.default_rng(k)
+    compiled_order, compiled_count = CompiledEvents([by_order], n), CompiledEvents([by_count], n)
+    for _ in range(50):
+        values = rng.standard_normal(n) + 2.0
+        eps = rng.random(n) < rng.random()
+        assert compiled_order(values, eps).tolist() == compiled_count(values, eps).tolist()
+
+    config = {"model": {"family": "one_factor", "n": n, "gamma": gamma},
+              "missingness": {"kind": "periodic", "pattern": "10"}, "reps": 1, "master_seed": 0}
+    assert (parse_config({**config, "targets": [order_doc]}).hash()
+            == parse_config({**config, "targets": [count_doc]}).hash())
+
+
 def test_compiled_events_empty_class_location_is_false():
     event = Event("loc", (LocationTerm("missed", 1.0),))
     compiled = CompiledEvents([event], 10)
@@ -103,20 +141,20 @@ def test_compiled_events_empty_class_location_is_false():
 
 
 def test_theory_order_stat_pairs():
-    ev = Event("x", (OrderStatTerm("observed", 2, 0.1), OrderStatTerm("missed", 3, 0.4)))
+    ev = Event("x", (order_stat("observed", 2, 0.1), order_stat("missed", 3, 0.4)))
     assert theory_limit(ev, PARAMS) == limit_laws.order_stats_obs_missed_cdf(PARAMS, 2, 3, 0.1, 0.4)
 
-    ev = Event("x", (OrderStatTerm("observed", 2, 0.1), OrderStatTerm("all", 3, 0.4)))
+    ev = Event("x", (order_stat("observed", 2, 0.1), order_stat("all", 3, 0.4)))
     assert theory_limit(ev, PARAMS) == limit_laws.order_stats_vs_all_cdf(PARAMS, "observed", 2, 3, 0.1, 0.4)
 
-    ev = Event("x", (OrderStatTerm("missed", 1, 0.5), OrderStatTerm("all", 2, 0.2)))
+    ev = Event("x", (order_stat("missed", 1, 0.5), order_stat("all", 2, 0.2)))
     assert theory_limit(ev, PARAMS) == limit_laws.order_stats_vs_all_cdf(PARAMS, "missed", 1, 2, 0.5, 0.2)
 
 
 def test_theory_order_stat_marginals():
-    ev = Event("x", (OrderStatTerm("observed", 2, 0.1),))
+    ev = Event("x", (order_stat("observed", 2, 0.1),))
     assert theory_limit(ev, PARAMS) == limit_laws.order_stats_obs_missed_cdf(PARAMS, 2, 1, 0.1, INF)
-    ev = Event("x", (OrderStatTerm("all", 2, 0.1),))
+    ev = Event("x", (order_stat("all", 2, 0.1),))
     assert theory_limit(ev, PARAMS) == limit_laws.order_stats_vs_all_cdf(PARAMS, "observed", 1, 2, INF, 0.1)
 
 
@@ -197,8 +235,8 @@ def test_theory_locations_with_heights():
         (
             LocationTerm("observed", 0.3),
             LocationTerm("missed", 0.7),
-            OrderStatTerm("observed", 1, 0.0),
-            OrderStatTerm("missed", 1, 0.5),
+            order_stat("observed", 1, 0.0),
+            order_stat("missed", 1, 0.5),
         ),
     )
     expected = limit_laws.locations_heights_cdf(PARAMS, "obs_missed", 0.3, 0.7, 0.0, 0.5)
@@ -211,8 +249,8 @@ def test_theory_locations_with_heights():
         (
             LocationTerm("observed", 0.3),
             LocationTerm("all", 0.7),
-            OrderStatTerm("observed", 1, 0.9),
-            OrderStatTerm("all", 1, 0.2),
+            order_stat("observed", 1, 0.9),
+            order_stat("all", 1, 0.2),
         ),
     )
     expected = limit_laws.locations_heights_cdf(PARAMS, "obs_all", 0.3, 0.7, 0.2, 0.2)
@@ -221,14 +259,17 @@ def test_theory_locations_with_heights():
 
 def test_theory_unrecognized_shapes():
     fam = IntervalFamily.of((0.0, 0.5))
-    assert theory_limit(Event("u", (OrderStatTerm("observed", 1, 0.0),
-                                    OrderStatTerm("observed", 2, 0.5))), PARAMS) is None
-    assert theory_limit(Event("u", (OrderStatTerm("observed", 1, 0.0),
-                                    OrderStatTerm("missed", 1, 0.1),
-                                    OrderStatTerm("all", 1, 0.2))), PARAMS) is None
+    assert theory_limit(Event("u", (order_stat("observed", 1, 0.0),
+                                    order_stat("observed", 2, 0.5))), PARAMS) is None
+    # three classes have no order-statistic evaluator; at k = 1 they are a void cell
+    assert theory_limit(Event("u", (order_stat("observed", 1, 0.0),
+                                    order_stat("missed", 1, 0.1),
+                                    order_stat("all", 1, 0.2))), PARAMS) == (
+        limit_laws.void_probability_intervals(PARAMS, [(1.0, 0.0, 0.1)])
+    )
     assert theory_limit(Event("u", (CountTerm("observed", fam, 0.0, "le", 2),)), PARAMS) is None
     assert theory_limit(Event("u", (LocationTerm("observed", 0.5),
-                                    OrderStatTerm("observed", 2, 0.0))), PARAMS) is None
+                                    order_stat("observed", 2, 0.0))), PARAMS) is None
     assert theory_limit(Event("u", (LocationTerm("observed", 0.5),
                                     CountTerm("observed", fam, 0.0, "eq", 0))), PARAMS) is None
 
@@ -240,11 +281,11 @@ def test_theory_unrecognized_shapes():
 def test_finite_n_maxima_event():
     n, gamma = 100, 1.0
     pattern = np.arange(n) % 2 == 0
-    ev = Event("m", (OrderStatTerm("observed", 1, 0.0), OrderStatTerm("missed", 1, 0.5)))
+    ev = Event("m", (order_stat("observed", 1, 0.0), order_stat("missed", 1, 0.5)))
     expected = limit_laws.finite_n_one_factor_prob(n, gamma, [(50, 50, 0.0, 0.5)])
     assert theory_finite_n(ev, n, gamma, pattern) == pytest.approx(expected, abs=1e-15)
 
-    ev_all = Event("m2", (OrderStatTerm("all", 1, 0.3),))
+    ev_all = Event("m2", (order_stat("all", 1, 0.3),))
     expected = limit_laws.finite_n_one_factor_prob(n, gamma, [(50, 50, 0.3, 0.3)])
     assert theory_finite_n(ev_all, n, gamma, pattern) == pytest.approx(expected, abs=1e-15)
 
@@ -271,7 +312,7 @@ def test_finite_n_void_event():
 
 def test_finite_n_unsupported():
     pattern = np.arange(100) % 2 == 0
-    assert theory_finite_n(Event("u", (OrderStatTerm("observed", 2, 0.0),)), 100, 1.0, pattern) is None
+    assert theory_finite_n(Event("u", (order_stat("observed", 2, 0.0),)), 100, 1.0, pattern) is None
     assert theory_finite_n(Event("u", (LocationTerm("observed", 0.5),)), 100, 1.0, pattern) is None
-    ev = Event("m", (OrderStatTerm("observed", 1, 0.0),))
+    ev = Event("m", (order_stat("observed", 1, 0.0),))
     assert theory_finite_n(ev, 100, 1.0, None) is None

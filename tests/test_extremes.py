@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapextremes.errors import InvalidParameterError
-from gapextremes.events import CompiledEvents, CountTerm, Event, LocationTerm, OrderStatTerm
+from gapextremes.events import CompiledEvents, CountTerm, Event, LocationTerm, order_stat
 from gapextremes.extremes import (
     CLASSES,
     IntervalFamily,
@@ -245,7 +245,7 @@ def test_observable_record_matches_reference(case, fill, ties, ks, family, x, va
     n = len(values)
     levels = (x, x + 0.5)
     events = [
-        Event(which, tuple(OrderStatTerm(which, k, x) for k in ks) + (
+        Event(which, tuple(order_stat(which, k, x) for k in ks) + (
             CountTerm(which, family, levels[0], "eq", value),
             CountTerm(which, family, levels[1], "le", value),
             LocationTerm(which, s),
@@ -256,17 +256,15 @@ def test_observable_record_matches_reference(case, fill, ties, ks, family, x, va
     rec = compiled.record(values, eps.astype(bool))
 
     lp = LevelParams.for_length(n)
-    counts = exceedance_counts(values, eps, levels, [family])
+    # the order statistics are counted over the whole path, the second family
+    counts = exceedance_counts(values, eps, levels, [family, IntervalFamily.unit()])
     by_class = {"observed": counts.observed, "missed": counts.missed, "all": counts.total}
     level_index = {lp.level(lev): i for i, lev in enumerate(levels)}
-    assert len(compiled.observables) == 3 * (len(set(ks)) + 3)
+    family_index = {tuple(family.index_ranges(n)): 0, ((0, n),): 1}
     for col, (kind, which, *spec) in enumerate(compiled.observables):
-        if kind == "kth":
-            expected = kth_maximum(values, eps, which, spec[0])
-        elif kind == "count":
+        if kind == "count":
             ranges, u = spec
-            assert list(ranges) == family.index_ranges(n)
-            expected = by_class[which][level_index[u], 0]
+            expected = by_class[which][level_index[u], family_index[ranges]]
         else:
             loc = max_location(values, eps, which)
             expected = math.inf if loc is None else loc

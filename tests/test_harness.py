@@ -11,7 +11,6 @@ from gapextremes.harness import (
     ReportRow,
     compare_estimates,
     config_hash,
-    estimate_event_probability,
     estimate_from_count,
     evaluate_theory,
     parse_config,
@@ -134,9 +133,9 @@ def test_config_hash_ignores_execution_only_keys():
 
 
 def test_estimate_examples():
-    rec = estimate_event_probability([True] * 100)
+    rec = estimate_from_count("e", 100, 100)
     assert rec.p_hat == 1.0 and rec.se == 0.0 and rec.ci_high == 1.0
-    rec = estimate_event_probability([False] * 100)
+    rec = estimate_from_count("e", 0, 100)
     assert rec.p_hat == 0.0 and rec.ci_low == 0.0
     rec = estimate_from_count("e", 500, 1000)
     assert rec.p_hat == 0.5
