@@ -124,8 +124,17 @@ def _integer(value, where: str) -> int:
     return int(value)
 
 
+def _term(where: str, make, *args):
+    """``make(*args)``, with a range error prefixed by the term's location."""
+    try:
+        return make(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def parse_event(doc: dict) -> Event:
-    """Build an Event from its JSON document form.  Unknown keys error."""
+    """Build an Event from its JSON document form.  Unknown keys error, and
+    every term error names its event and term."""
     _require_keys(doc, {"id", "terms"}, set(), "event")
     terms = []
     for i, term in enumerate(doc["terms"]):
@@ -136,15 +145,17 @@ def parse_event(doc: dict) -> Event:
         if kind == "order_stat":
             _require_keys(term, {"type", "class", "k", "x"}, set(), where)
             k = _integer(term["k"], f"{where}: k")
-            terms.append(order_stat(term["class"], k, float(term["x"])))
+            terms.append(_term(where, order_stat, term["class"], k, float(term["x"])))
         elif kind == "count":
             _require_keys(term, {"type", "class", "intervals", "x", "op", "value"}, set(), where)
             family = IntervalFamily.of(*term["intervals"])
             value = _integer(term["value"], f"{where}: value")
-            terms.append(CountTerm(term["class"], family, float(term["x"]), term["op"], value))
+            terms.append(
+                _term(where, CountTerm, term["class"], family, float(term["x"]), term["op"], value)
+            )
         elif kind == "location":
             _require_keys(term, {"type", "class", "s"}, set(), where)
-            terms.append(LocationTerm(term["class"], float(term["s"])))
+            terms.append(_term(where, LocationTerm, term["class"], float(term["s"])))
         else:
             raise ConfigError(f"{where}: unknown term type {kind!r}")
     return Event(event_id=str(doc["id"]), terms=tuple(terms))

@@ -11,8 +11,13 @@ Three stationary families, all with unit marginal variance:
 * ``log_decay`` — genuine stationary covariance r_k = gamma / ln(k + shift),
   whose lag-k correlation times ln k tends to gamma.  Sampled exactly by
   circulant embedding (FFT) when the embedding is positive semidefinite.
+  One transform of complex noise yields two independent paths with the
+  target covariance, its real and its imaginary part (Wood & Chan 1994;
+  Dietrich & Newsam 1997).
 
-``sample_path`` returns the path itself, a float64 array of the n values.
+``sample_path`` returns the paths one stream yields, a float64 array of
+shape (paths_per_draw, n): one path for iid and one_factor, two for
+log_decay.
 """
 from __future__ import annotations
 
@@ -50,6 +55,12 @@ class CovarianceSpec:
     gamma: float = 0.0
     shift: float = math.e
 
+    @property
+    def paths_per_draw(self) -> int:
+        """Paths one call of ``sample_path`` returns: the two halves of a
+        circulant transform for log_decay, else one."""
+        return 2 if self.family == "log_decay" else 1
+
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise InvalidParameterError(f"unknown family {self.family!r}")
@@ -66,12 +77,20 @@ class CovarianceSpec:
 
 @dataclass(frozen=True)
 class GaussianModel:
-    """A sampler specification for a fixed path length ``n``."""
+    """A sampler specification for a fixed path length ``n``.
+
+    For log_decay, ``scale`` holds sqrt(max(spectrum, 0) / m) of the size-m
+    circulant embedding: the factor applied to the complex noise.
+    """
 
     n: int
     spec: CovarianceSpec
     rho_n: float = 0.0
-    spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
+    scale: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def paths_per_draw(self) -> int:
+        return self.spec.paths_per_draw
 
 
 def _log_decay_correlation(gamma: float, shift: float, k) -> np.ndarray:
@@ -130,38 +149,40 @@ def build_model(n: int, spec: CovarianceSpec) -> GaussianModel:
             f"embedding spectrum reaches {spectrum.min():.3e} < -{tol_clip:.3e} at "
             f"size {m}; r_k = {spec.gamma:g}/ln(k+{spec.shift:g}) is not embeddable for n={n}"
         )
-    spectrum = np.maximum(spectrum, 0.0)
-    spectrum.setflags(write=False)
-    return GaussianModel(n=n, spec=spec, spectrum=spectrum)
+    scale = np.sqrt(np.maximum(spectrum, 0.0) / m)
+    scale.setflags(write=False)
+    return GaussianModel(n=n, spec=spec, scale=scale)
 
 
 def sample_path(model: GaussianModel, stream: np.random.Generator) -> np.ndarray:
-    """Draw one path from the model using the given stream: a float64
-    array of shape (n,).
+    """Draw the paths one stream yields: a float64 array of shape
+    (model.paths_per_draw, n).
 
     The draw order per call is fixed, so identical (model, stream state)
     yields bit-identical paths:
 
-    * iid — n standard normals, the path itself;
-    * one_factor — n standard normals Z, then the factor xi;
-    * log_decay — m standard normals for the real parts of the circulant
-      noise, then m for the imaginary parts (m the embedding size).
+    * iid — n standard normals, the path itself (one row);
+    * one_factor — n standard normals Z, then the factor xi (one row);
+    * log_decay — 2m standard normals read as m interleaved (real,
+      imaginary) pairs of circulant noise, m the embedding size; the real
+      and imaginary parts of its transform are the two rows.
     """
     n = model.n
     family = model.spec.family
     if family == "iid":
-        return stream.standard_normal(n)
+        return stream.standard_normal((1, n))
     if family == "one_factor":
-        values = math.sqrt(1.0 - model.rho_n) * stream.standard_normal(n)
+        values = math.sqrt(1.0 - model.rho_n) * stream.standard_normal((1, n))
         values += math.sqrt(model.rho_n) * stream.standard_normal()
         return values
-    # log_decay: complex white noise shaped by the embedding spectrum; the
-    # real part of the length-m transform carries the target covariance.
-    spectrum = model.spectrum
-    m = len(spectrum)
-    noise = stream.standard_normal(m) + 1j * stream.standard_normal(m)
-    y = np.fft.fft(np.sqrt(spectrum / m) * noise)
-    return y.real[:n].copy()
+    # log_decay: complex white noise shaped by the embedding spectrum; both
+    # parts of the length-m transform carry the target covariance and are
+    # independent of each other.
+    scale = model.scale
+    noise = stream.standard_normal(2 * len(scale)).view(np.complex128)
+    noise *= scale
+    y = np.fft.fft(noise)
+    return np.stack((y.real[:n], y.imag[:n]))
 
 
 def model_correlation(model: GaussianModel, k: int) -> float:

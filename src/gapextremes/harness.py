@@ -1,13 +1,16 @@
 """Experiment driver: configuration, replication engine, reports.
 
 A configuration fixes a Gaussian model, a missingness model, a list of
-events and a replication budget.  Each replication r derives two
-substreams from (master_seed, r) — one for the path, one for the
-indicators — so results are bit-identical for any worker count and any
-scheduling.  Event hits are aggregated as integer counts, compared
-against the limit laws (and the exact one-factor value when available),
-and written as CSV plus a JSON mirror, both carrying the configuration
-hash so distinct configurations can never silently share a report file.
+events and a replication budget.  Paths come in draws of
+``paths_per_draw`` (k) paths: draw j uses the substream
+(master_seed, j, "path") and supplies replications j*k .. j*k+k-1, and
+replication r draws its indicators from (master_seed, r, "indicators").
+No stream depends on how replications are split into chunks, so results
+are bit-identical for any worker count and any scheduling.  Event hits
+are aggregated as integer counts, compared against the limit laws (and
+the exact one-factor value when available), and written as CSV plus a
+JSON mirror, both carrying the configuration hash so distinct
+configurations can never silently share a report file.
 """
 from __future__ import annotations
 
@@ -275,14 +278,23 @@ def compare_estimates(
 
 
 def _simulate_range(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+    """Event hit counts of replications lo..hi-1.
+
+    Draw j yields the paths of replications j*k .. j*k+k-1, k paths per
+    draw; a draw that straddles lo or hi is recomputed and only its rows
+    in range are kept, so any split of the replications sums to the same
+    counts.
+    """
     model = config.build_model()
     compiled = CompiledEvents(config.events, config.n)
     counts = np.zeros(len(config.events), dtype=np.int64)
     seed = config.master_seed
-    for r in range(lo, hi):
-        values = sample_path(model, substream(seed, r, "path"))
-        eps = sample_indicators(config.missingness, config.n, substream(seed, r, "indicators"))
-        counts += compiled(values, eps)
+    k = model.paths_per_draw
+    for j in range(lo // k, -(-hi // k)):
+        paths = sample_path(model, substream(seed, j, "path"))
+        for r in range(max(lo, j * k), min(hi, j * k + k)):
+            eps = sample_indicators(config.missingness, config.n, substream(seed, r, "indicators"))
+            counts += compiled(paths[r - j * k], eps)
     return counts
 
 
@@ -290,11 +302,13 @@ def simulate_event_counts(config: ExperimentConfig) -> np.ndarray:
     """Total event hit counts over all replications.
 
     Counts are integers summed in chunk order, so the result does not
-    depend on the worker count or on scheduling.
+    depend on the worker count or on scheduling.  Chunks are whole draws
+    (a multiple of the paths per draw), so no draw is computed twice.
     """
     if config.workers == 1:
         return _simulate_range(config, 0, config.reps)
-    chunk = max(1, -(-config.reps // (config.workers * 4)))
+    k = config.spec.paths_per_draw
+    chunk = k * max(1, -(-config.reps // (config.workers * 4 * k)))
     los = range(0, config.reps, chunk)
     his = [min(lo + chunk, config.reps) for lo in los]
     with ProcessPoolExecutor(max_workers=config.workers) as pool:

@@ -1,11 +1,13 @@
 """Derivation of independent, reproducible random substreams.
 
 All randomness in the package flows through numpy ``Generator`` objects
-created here.  A substream is keyed by ``(master_seed, replication,
-label)``; the label string is hashed into the seed material, so the
-``"path"`` and ``"indicators"`` streams of one replication can never
-collide, and the stream assigned to a replication does not depend on how
-replications are scheduled across workers.
+created here.  A substream is keyed by ``(master_seed, replication, label)``;
+the label string is hashed into the seed material, so streams of
+different labels can never collide.  The experiment engine keys
+``"path"`` streams by draw (one draw supplies ``paths_per_draw``
+replications) and ``"indicators"`` streams by replication, so the stream
+assigned to a draw or a replication does not depend on how replications
+are scheduled across workers.
 """
 from __future__ import annotations
 
@@ -23,7 +25,8 @@ def label_key(label: str) -> int:
 
 
 def substream(master_seed: int, replication: int, label: str) -> np.random.Generator:
-    """Generator for one (replication, component) cell of an experiment.
+    """Generator for one (replication, component) cell of an experiment;
+    for ``"path"`` streams ``replication`` is the draw index.
 
     Identical arguments always yield a generator producing an identical
     stream; distinct arguments yield statistically independent streams.

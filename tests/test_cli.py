@@ -150,6 +150,31 @@ def test_model_error_has_one_prefix(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "bad_term, message",
+    [
+        ({"type": "order_stat", "class": "missed", "k": 0, "x": 0.5},
+         "order statistic rank must be >= 1, got 0"),
+        ({"type": "count", "class": "missed", "intervals": [[0, 1]], "x": 0.0, "op": "eq",
+          "value": -1},
+         "count value must be >= 0, got -1"),
+        ({"type": "location", "class": "missed", "s": 2.0},
+         "location threshold must lie in (0,1], got 2.0"),
+    ],
+    ids=["order", "count", "location"],
+)
+def test_term_range_error_names_event_and_term(tmp_path, capsys, bad_term, message):
+    doc = copy.deepcopy(CONFIG)
+    doc["targets"].append({
+        "id": "b",
+        "terms": [{"type": "order_stat", "class": "observed", "k": 1, "x": 0.0}, bad_term],
+    })
+    path = tmp_path / "term.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: event 'b' term 1: {message}\n"
+
+
 def test_verify_fails_with_exit_1(tmp_path):
     # impossible theory tolerance: sigma tiny makes a statistical miss certain
     doc = dict(CONFIG)

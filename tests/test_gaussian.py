@@ -81,14 +81,14 @@ def test_determinism():
         model = build_model(64, spec)
         a = sample_path(model, np.random.default_rng(42))
         b = sample_path(model, np.random.default_rng(42))
-        assert a.dtype == np.float64 and a.shape == (64,)
+        assert a.dtype == np.float64 and a.shape == (model.paths_per_draw, 64)
         assert np.array_equal(a, b)
 
 
 def test_iid_pooled_moments_and_lag():
     model = build_model(100_000, CovarianceSpec("iid"))
     rng = np.random.default_rng(11)
-    pooled = np.concatenate([sample_path(model, rng) for _ in range(10)])
+    pooled = np.concatenate([sample_path(model, rng) for _ in range(10)]).ravel()
     n = len(pooled)
     assert abs(pooled.mean()) < 4.0 / math.sqrt(n)
     assert abs(pooled.var() - 1.0) < 4.0 * math.sqrt(2.0 / n)
@@ -103,7 +103,7 @@ def test_one_factor_pair_correlation():
     reps = 100_000
     pairs = np.empty((reps, 2))
     for r in range(reps):
-        pairs[r] = sample_path(model, rng)[:2]
+        pairs[r] = sample_path(model, rng)[0, :2]
     corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
     se = (1.0 - RHO_100_GAMMA1**2) / math.sqrt(reps)
     assert abs(corr - RHO_100_GAMMA1) < 4.0 * se
@@ -136,16 +136,17 @@ def test_one_factor_gamma_zero_matches_iid():
     one = build_model(1000, CovarianceSpec("one_factor", gamma=0.0))
     iid = build_model(1000, CovarianceSpec("iid"))
     rng = np.random.default_rng(3)
-    a = np.concatenate([sample_path(one, rng) for _ in range(100)])
-    b = np.concatenate([sample_path(iid, rng) for _ in range(100)])
+    a = np.concatenate([sample_path(one, rng)[0] for _ in range(100)])
+    b = np.concatenate([sample_path(iid, rng)[0] for _ in range(100)])
     assert stats.ks_2samp(a, b).pvalue > 0.01
 
 
 def test_log_decay_sampling_matches_model_correlation():
+    # each draw yields two paths: 2000 draws give the 4000 paths
     n, reps = 512, 4000
     model = build_model(n, CovarianceSpec("log_decay", gamma=0.5))
     rng = np.random.default_rng(7)
-    paths = np.stack([sample_path(model, rng) for _ in range(reps)])
+    paths = np.stack([sample_path(model, rng) for _ in range(reps // 2)]).reshape(reps, n)
     # within-path dependence inflates pooled-moment noise, so standard
     # errors come from the spread of per-path statistics
     per_mean = paths.mean(axis=1)
@@ -157,3 +158,29 @@ def test_log_decay_sampling_matches_model_correlation():
         est = per_path.mean()
         se = per_path.std(ddof=1) / math.sqrt(reps)
         assert abs(est - model_correlation(model, k)) < 4.0 * se
+
+
+def test_log_decay_halves_independent_and_each_matches_model_correlation():
+    # the real and imaginary rows of one draw: zero cross-covariance at
+    # lags 0, 1 and 10 in both directions, and each row alone has the
+    # model's moments; standard errors from the spread of per-draw statistics
+    n, draws = 512, 2000
+    model = build_model(n, CovarianceSpec("log_decay", gamma=0.5))
+    assert model.paths_per_draw == 2
+    rng = np.random.default_rng(19)
+    pairs = np.stack([sample_path(model, rng) for _ in range(draws)])
+    re, im = pairs[:, 0], pairs[:, 1]
+
+    def within_4se(per_draw, target):
+        se = per_draw.std(ddof=1) / math.sqrt(draws)
+        return abs(per_draw.mean() - target) < 4.0 * se
+
+    assert within_4se(np.mean(re * im, axis=1), 0.0)
+    for k in (1, 10):
+        assert within_4se(np.mean(re[:, :-k] * im[:, k:], axis=1), 0.0)
+        assert within_4se(np.mean(im[:, :-k] * re[:, k:], axis=1), 0.0)
+    for row in (re, im):
+        assert within_4se(row.mean(axis=1), 0.0)
+        assert within_4se(np.mean(row**2, axis=1), 1.0)
+        for k in (1, 2, 10):
+            assert within_4se(np.mean(row[:, :-k] * row[:, k:], axis=1), model_correlation(model, k))

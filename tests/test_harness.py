@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from gapextremes.errors import ConfigError
+from gapextremes.events import CompiledEvents
+from gapextremes.gaussian import sample_path
 from gapextremes.harness import (
     ComparisonReport,
     ReportRow,
@@ -15,9 +17,12 @@ from gapextremes.harness import (
     evaluate_theory,
     parse_config,
     run_experiment,
+    _simulate_range,
     simulate_event_counts,
     write_report,
 )
+from gapextremes.missingness import sample_indicators
+from gapextremes.streams import substream
 
 BASE_CONFIG = {
     "model": {"family": "one_factor", "n": 300, "gamma": 1.0},
@@ -289,3 +294,100 @@ def test_estimates_match_theory_at_modest_n():
     # comfortably covers the O(1/ln n) bias for these events
     report = run_experiment(parse_config(_config()))
     assert report.all_pass(), report.to_csv()
+
+
+# ---------------------------------------------------------------------------
+# log_decay draws: two paths per circulant transform
+
+
+def _order(which, k, x):
+    return {"type": "order_stat", "class": which, "k": k, "x": x}
+
+
+def _count(which, intervals, x, value):
+    return {"type": "count", "class": which, "intervals": intervals, "x": x, "op": "eq",
+            "value": value}
+
+
+#: six event shapes: order statistics, locations, counts, voids and a tail
+LOG_DECAY_EVENTS = [
+    {"id": "joint_max", "terms": [_order("observed", 1, 0.0), _order("missed", 1, 0.5)]},
+    {"id": "kth_vs_all", "terms": [_order("observed", 2, 0.5), _order("all", 3, 0.0)]},
+    {"id": "location_pair", "terms": [
+        {"type": "location", "class": "observed", "s": 0.5},
+        {"type": "location", "class": "missed", "s": 0.5}]},
+    {"id": "count_pmf", "terms": [
+        _count("observed", [[0, 1]], 0.0, 1), _count("missed", [[0, 1]], 0.0, 0)]},
+    {"id": "void_two_cells", "terms": [
+        _count("all", [[0, 0.5]], 0.0, 0), _count("all", [[0.5, 1]], 1.0, 0)]},
+    {"id": "tail", "terms": [_order("all", 1, 12.0)]},
+]
+
+
+def _log_decay_config(n, reps, master_seed, workers=1):
+    return parse_config({
+        "model": {"family": "log_decay", "n": n, "gamma": 0.5},
+        "missingness": {"kind": "iid_bernoulli", "p": 0.5},
+        "targets": LOG_DECAY_EVENTS,
+        "reps": reps,
+        "master_seed": master_seed,
+        "workers": workers,
+    })
+
+
+def _real_part_path(model, stream):
+    """The single-path log_decay draw: m normals for the real parts of the
+    circulant noise, m for the imaginary parts, and the real part of the
+    transform."""
+    m = len(model.scale)  # scale = sqrt(spectrum / m)
+    noise = stream.standard_normal(m) + 1j * stream.standard_normal(m)
+    return np.fft.fft(model.scale * noise).real[: model.n]
+
+
+def test_log_decay_two_path_draws_match_real_part_sampler_in_law():
+    n, reps = 1024, 4000
+    config = _log_decay_config(n, reps, master_seed=41)
+    hits = simulate_event_counts(config)
+
+    ref_seed = 42  # an independent sample for the reference side
+    model = config.build_model()
+    compiled = CompiledEvents(config.events, n)
+    ref = np.zeros(len(config.events), dtype=np.int64)
+    for r in range(reps):
+        path = _real_part_path(model, substream(ref_seed, r, "path"))
+        eps = sample_indicators(config.missingness, n, substream(ref_seed, r, "indicators"))
+        ref += compiled(path, eps)
+
+    for event, a, b in zip(config.events, hits, ref):
+        pooled = (a + b) / (2 * reps)
+        se = math.sqrt(pooled * (1.0 - pooled) * 2.0 / reps)
+        if se == 0.0:
+            assert a == b, event.event_id
+        else:
+            assert abs(a - b) / reps / se <= 4.0, (event.event_id, a, b)
+
+
+def test_log_decay_counts_invariant_to_worker_count_and_split():
+    # odd reps: the last draw's second path is never used, and splits at odd
+    # replications cut a draw in two
+    config = _log_decay_config(256, 7, master_seed=5)
+    single = simulate_event_counts(config)
+    for workers in (2, 3):
+        multi = simulate_event_counts(_log_decay_config(256, 7, master_seed=5, workers=workers))
+        assert np.array_equal(single, multi)
+    whole = _simulate_range(config, 0, 7)
+    assert np.array_equal(whole, single)
+    assert np.array_equal(_simulate_range(config, 0, 3) + _simulate_range(config, 3, 7), whole)
+    assert np.array_equal(sum(_simulate_range(config, r, r + 1) for r in range(7)), whole)
+
+
+def test_log_decay_replication_takes_its_row_of_its_draw():
+    # draw j = r // 2 comes from the (seed, j, "path") stream; replication r
+    # takes row r - 2j of it and its own (seed, r, "indicators") stream
+    config = _log_decay_config(256, 7, master_seed=5)
+    model = config.build_model()
+    compiled = CompiledEvents(config.events, config.n)
+    for r in range(7):
+        path = sample_path(model, substream(5, r // 2, "path"))[r % 2]
+        eps = sample_indicators(config.missingness, config.n, substream(5, r, "indicators"))
+        assert np.array_equal(_simulate_range(config, r, r + 1), compiled(path, eps).astype(np.int64))
