@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limit_laws
-from .errors import ConfigError
+from .errors import ConfigError, GapExtremesError
 from .extremes import CLASSES, IntervalFamily, LevelParams
 from .limit_laws import LimitLawParams
 
@@ -103,7 +103,9 @@ class Event:
 
 
 def _require_keys(doc: dict, required: set[str], optional: set[str], where: str) -> None:
-    """Check that ``doc`` is a JSON object with exactly the allowed keys."""
+    """Check that ``doc`` is a JSON object with exactly the allowed keys and
+    no boolean value.  No config field is boolean, and Python would read
+    ``true`` as the number 1."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
     keys = set(doc)
@@ -113,6 +115,17 @@ def _require_keys(doc: dict, required: set[str], optional: set[str], where: str)
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, value in doc.items():
+        if _has_boolean(value):
+            raise ConfigError(f"{where}: {key} must not be a boolean")
+
+
+def _has_boolean(value) -> bool:
+    """A boolean, or a (nested) list holding one; objects are checked by
+    their own ``_require_keys``."""
+    if isinstance(value, list):
+        return any(map(_has_boolean, value))
+    return isinstance(value, bool)
 
 
 def _integer(value, where: str) -> int:
@@ -128,7 +141,7 @@ def _term(where: str, make, *args):
     """``make(*args)``, with a range error prefixed by the term's location."""
     try:
         return make(*args)
-    except ConfigError as exc:
+    except GapExtremesError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -148,7 +161,7 @@ def parse_event(doc: dict) -> Event:
             terms.append(_term(where, order_stat, term["class"], k, float(term["x"])))
         elif kind == "count":
             _require_keys(term, {"type", "class", "intervals", "x", "op", "value"}, set(), where)
-            family = IntervalFamily.of(*term["intervals"])
+            family = _term(where, IntervalFamily.of, *term["intervals"])
             value = _integer(term["value"], f"{where}: value")
             terms.append(
                 _term(where, CountTerm, term["class"], family, float(term["x"]), term["op"], value)
@@ -252,7 +265,8 @@ def _path_bounds(count_terms) -> dict[str, tuple[int, float]] | None:
 def _void_cells(count_terms) -> list[tuple[IntervalFamily, float, float]] | None:
     """Group void count terms into per-family (observed level, missed level)
     cells, folding multiple levels per class through nesting (a count void
-    at two levels is void at the lower one)."""
+    at two levels is void at the lower one).  Cells come sorted by interval,
+    so the theory value does not depend on the order of the terms."""
     if any(t.value != 0 for t in count_terms):
         return None
     by_family: dict[IntervalFamily, tuple[float, float]] = {}
@@ -265,7 +279,7 @@ def _void_cells(count_terms) -> list[tuple[IntervalFamily, float, float]] | None
         by_family[term.family] = (x_eff, y_eff)
     if not _families_disjoint(by_family):
         return None
-    return [(fam, x, y) for fam, (x, y) in by_family.items()]
+    return [(fam, *by_family[fam]) for fam in sorted(by_family, key=lambda f: f.intervals)]
 
 
 def theory_limit(event: Event, params: LimitLawParams) -> float | None:
@@ -299,88 +313,47 @@ def theory_limit(event: Event, params: LimitLawParams) -> float | None:
 
 
 def _counts_pmf_theory(counts, params: LimitLawParams) -> float | None:
-    """Joint count pmf theory for 'eq' terms of obs/missed classes on one
-    family at one or two levels."""
-    if any(t.op != "eq" or t.which == "all" for t in counts):
-        return None
+    """Joint count pmf theory: 'eq' terms of the observed and missed classes
+    on one family, at one or two levels, each (class, level) exactly once.
+    One level is the pmf at x = y."""
+    values = {(t.which, t.x): t.value for t in counts}
+    levels = sorted({x for _, x in values}, reverse=True)
     families = {t.family for t in counts}
-    if len(families) != 1:
+    if (any(t.op != "eq" or t.which == "all" for t in counts) or len(families) != 1
+            or len(levels) > 2 or not len(counts) == len(values) == 2 * len(levels)):
         return None
-    family = families.pop()
-    levels = sorted({t.x for t in counts})
-    if len(levels) > 2:
-        return None
-    values: dict[tuple[str, float], int] = {}
-    for t in counts:
-        key = (t.which, t.x)
-        if key in values:
-            return None
-        values[key] = t.value
-    if len(levels) == 1 and len(values) == 2:
-        x = levels[0]
-        k1 = values.get(("observed", x))
-        k2 = values.get(("missed", x))
-        if k1 is None or k2 is None:
-            return None
-        return limit_laws.joint_counts_pmf(params, family.measure, x, x, k1, k2, k1, k2)
-    if len(levels) == 2 and len(values) == 4:
-        y, x = levels  # x is the higher level
-        try:
-            k1, k2 = values[("observed", x)], values[("missed", x)]
-            k3, k4 = values[("observed", y)], values[("missed", y)]
-        except KeyError:
-            return None
-        return limit_laws.joint_counts_pmf(params, family.measure, x, y, k1, k2, k3, k4)
-    return None
+    x, y = levels[0], levels[-1]  # x is the higher level
+    return limit_laws.joint_counts_pmf(
+        params, families.pop().measure, x, y,
+        values["observed", x], values["missed", x], values["observed", y], values["missed", y],
+    )
 
 
 def _locations_theory(counts, locs, params: LimitLawParams) -> float | None:
-    loc_spec: dict[str, float] = {}
-    for term in locs:
-        if term.which in loc_spec:
-            return None
-        loc_spec[term.which] = term.s
-    height_spec = _path_bounds(counts)
-    if height_spec is None or any(k != 1 for k, _ in height_spec.values()):
+    """Argmax locations of at most two classes, with k = 1 heights on
+    located classes.  An absent location is 1 and an absent height +inf
+    (the dropped constraint); the pair is obs_missed unless 'all' is
+    located."""
+    loc = {t.which: t.s for t in locs}
+    bounds = _path_bounds(counts)
+    if (len(loc) != len(locs) or len(loc) == 3 or bounds is None
+            or any(k != 1 for k, _ in bounds.values()) or not set(bounds) <= set(loc)):
         return None
-    if not set(height_spec) <= set(loc_spec):
-        return None
-    height = {which: x for which, (_, x) in height_spec.items()}
-    classes = frozenset(loc_spec)
-
-    def hx(which: str) -> float:
-        return height.get(which, math.inf)
-
-    if classes == {"observed", "missed"}:
+    s = dict.fromkeys(CLASSES, 1.0) | loc
+    h = dict.fromkeys(CLASSES, math.inf) | {which: x for which, (_, x) in bounds.items()}
+    if "all" not in loc:
         return limit_laws.locations_heights_cdf(
-            params, "obs_missed", loc_spec["observed"], loc_spec["missed"],
-            hx("observed"), hx("missed"),
+            params, "obs_missed", s["observed"], s["missed"], h["observed"], h["missed"]
         )
-    if classes == {"observed", "all"} or classes == {"missed", "all"}:
-        pair = "obs_all" if "observed" in classes else "missed_all"
-        member = "observed" if "observed" in classes else "missed"
-        # the class max never exceeds the overall max, so its level can be
-        # tightened to min(x_class, x_all), after which x <= y always holds
-        x = min(hx(member), hx("all"))
-        return limit_laws.locations_heights_cdf(
-            params, pair, loc_spec[member], loc_spec["all"], x, hx("all")
-        )
-    if len(classes) == 1:
-        which = next(iter(classes))
-        s = loc_spec[which]
-        if which == "observed":
-            return limit_laws.locations_heights_cdf(
-                params, "obs_missed", s, 1.0, hx("observed"), math.inf
-            )
-        if which == "missed":
-            return limit_laws.locations_heights_cdf(
-                params, "obs_missed", 1.0, s, math.inf, hx("missed")
-            )
-        y = hx("all")
-        if math.isinf(y):
-            return s
-        return limit_laws.locations_heights_cdf(params, "obs_all", 1.0, s, y, y)
-    return None
+    if len(loc) == 1 and math.isinf(h["all"]):
+        return s["all"]
+    member = "missed" if "missed" in loc else "observed"
+    pair = "missed_all" if member == "missed" else "obs_all"
+    # the class max never exceeds the overall max, so its level can be
+    # tightened to min(x_class, x_all), after which x <= y always holds
+    return limit_laws.locations_heights_cdf(
+        params, pair, s[member], s["all"], min(h[member], h["all"]), h["all"]
+    )
 
 
 def theory_finite_n(event: Event, n: int, gamma: float, pattern: np.ndarray | None) -> float | None:

@@ -62,10 +62,12 @@ def level(n: int, x: float) -> float:
     return LevelParams.for_length(n).level(x)
 
 
-def transformed_level(n: int, x: float, z: float, gamma: float) -> float:
+def transformed_level(n: int, x: float, z, gamma: float):
     """Level seen by the independent comparison coordinates of the
     one-factor model given factor value ``z``:
     (u_n(x) - sqrt(rho_n) z) / sqrt(1 - rho_n) with rho_n = gamma / ln n.
+    ``z`` may be an array of factor values; the result is then an array of
+    its shape.
     """
     if gamma < 0.0:
         raise InvalidParameterError(f"gamma must be >= 0, got {gamma}")

@@ -88,10 +88,6 @@ class GaussianModel:
     rho_n: float = 0.0
     scale: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def paths_per_draw(self) -> int:
-        return self.spec.paths_per_draw
-
 
 def _log_decay_correlation(gamma: float, shift: float, k) -> np.ndarray:
     return gamma / np.log(np.asarray(k, dtype=float) + shift)
@@ -156,7 +152,7 @@ def build_model(n: int, spec: CovarianceSpec) -> GaussianModel:
 
 def sample_path(model: GaussianModel, stream: np.random.Generator) -> np.ndarray:
     """Draw the paths one stream yields: a float64 array of shape
-    (model.paths_per_draw, n).
+    (model.spec.paths_per_draw, n).
 
     The draw order per call is fixed, so identical (model, stream state)
     yields bit-identical paths:

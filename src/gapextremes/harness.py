@@ -289,7 +289,7 @@ def _simulate_range(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     compiled = CompiledEvents(config.events, config.n)
     counts = np.zeros(len(config.events), dtype=np.int64)
     seed = config.master_seed
-    k = model.paths_per_draw
+    k = model.spec.paths_per_draw
     for j in range(lo // k, -(-hi // k)):
         paths = sample_path(model, substream(seed, j, "path"))
         for r in range(max(lo, j * k), min(hi, j * k + k)):
@@ -394,7 +394,7 @@ def _event_theory(config: ExperimentConfig, event: Event) -> tuple[float | None,
     params = config.limit_params()
     limit = theory_limit(event, params)
     finite = None
-    if config.spec.family == "one_factor" and config.missingness.is_deterministic():
+    if config.spec.family == "one_factor" and config.missingness.kind == "periodic":
         pattern = fixed_pattern(config.missingness, config.n)
         finite = theory_finite_n(event, config.n, config.spec.gamma, pattern)
     return limit, finite

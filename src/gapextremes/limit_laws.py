@@ -13,7 +13,10 @@ Every limit evaluator is thus an expectation of a product of Poisson
 probabilities: it validates its arguments and hands an integrand
 ``f(lam, g)`` to one kernel, ``_mixed_poisson``, which alone contracts it
 against the quadrature rules, refines until stable (quadrature.converge)
-and clips to [0, 1].  The exact finite-n identity keeps its own integral.
+and clips to [0, 1].  The exact finite-n identity of the one-factor model
+is the same kind of integral over xi, under the unit fraction law, so it
+goes through the same kernel with log Phi of the factor-shifted level in
+place of the intensity.
 
 The kernel also takes a batch of integrals sharing one rule per doubling,
 each refined until stable on its own.  ``joint_counts_pmf_batch`` uses it
@@ -35,7 +38,7 @@ import numpy as np
 from scipy import special
 
 from .errors import InvalidParameterError
-from .extremes import LevelParams
+from .extremes import LevelParams, transformed_level
 from .lambdalaw import LambdaLaw
 from .quadrature import QuadratureRule, converge
 
@@ -103,9 +106,11 @@ def _clip_prob(value):
     return min(max(value, 0.0), 1.0)
 
 
-def _mixed_poisson(params: LimitLawParams, integrand, shape: tuple = ()):
+def _mixed_poisson(params: LimitLawParams, integrand, shape: tuple = (), per_level=g_intensity):
     """E over (lambda, xi) of ``integrand(lam, g)``, with ``lam`` the
-    fraction column and ``g(level)`` the intensity at the factor nodes.
+    fraction column and ``g(level)`` the per-level map
+    ``per_level(gamma, level, z)`` at the factor nodes z: the intensity
+    ``g_intensity`` for the limit laws.
 
     A nonempty ``shape`` makes it a batch: ``integrand`` then returns an
     array with leading axes ``shape``, or an iterable of one value array
@@ -113,7 +118,7 @@ def _mixed_poisson(params: LimitLawParams, integrand, shape: tuple = ()):
     each converge on their own."""
 
     def evaluate(rule: QuadratureRule):
-        values = integrand(rule.lam_col, lambda x: g_intensity(params.gamma, x, rule.z))
+        values = integrand(rule.lam_col, lambda x: per_level(params.gamma, x, rule.z))
         if not shape:
             return rule.expect(values)
         if isinstance(values, np.ndarray):
@@ -274,10 +279,11 @@ def finite_n_one_factor_prob(n: int, gamma: float, cells) -> float:
     ``cells`` is an iterable of (n_obs, n_miss, x, y).  Conditionally on
     the shared factor the coordinates are independent, so the probability
     is a one-dimensional normal integral of a product of powers of Phi at
-    the factor-adjusted levels.
+    the factor-shifted levels: the kernel's per-level map is log Phi of
+    ``transformed_level``, under the unit fraction law.
     """
     n = int(n)
-    lp = LevelParams.for_length(n)
+    LevelParams.for_length(n)  # n >= 3
     if gamma < 0.0 or gamma >= math.log(n):
         raise InvalidParameterError(f"need 0 <= gamma < ln n, got gamma={gamma}, n={n}")
     cells = [(int(no), int(nm), float(x), float(y)) for no, nm, x, y in cells]
@@ -285,22 +291,17 @@ def finite_n_one_factor_prob(n: int, gamma: float, cells) -> float:
         raise InvalidParameterError("cell counts must be nonnegative")
     if sum(no + nm for no, nm, _, _ in cells) > n:
         raise InvalidParameterError("total cell counts exceed the path length")
-    rho = gamma / math.log(n)
-    scale = math.sqrt(1.0 - rho)
-    shift = math.sqrt(rho)
+    powers = [(k, level) for no, nm, x, y in cells for k, level in ((no, x), (nm, y)) if k]
 
-    def evaluate(rule: QuadratureRule) -> float:
-        log_prob = np.zeros_like(rule.z)
-        for n_obs, n_miss, x, y in cells:
-            if n_obs:
-                u = (lp.level(x) - shift * rule.z) / scale
-                log_prob += n_obs * special.log_ndtr(u)
-            if n_miss:
-                u = (lp.level(y) - shift * rule.z) / scale
-                log_prob += n_miss * special.log_ndtr(u)
-        return rule.expect(np.exp(log_prob))
+    def integrand(lam, log_phi):
+        # log Phi(+inf) = 0 starts the sum on the z nodes: no cells give 1
+        return np.exp(sum((k * log_phi(level) for k, level in powers), log_phi(math.inf)))
 
-    return _clip_prob(converge(_UNIT_LAW, evaluate))
+    return _mixed_poisson(
+        LimitLawParams(gamma, _UNIT_LAW),
+        integrand,
+        per_level=lambda g, x, z: special.log_ndtr(transformed_level(n, x, z, g)),
+    )
 
 
 def locations_heights_cdf(

@@ -69,10 +69,6 @@ class MissingnessModel:
             return LambdaLaw.point(sum(self.pattern) / len(self.pattern))
         return self.lambda_law
 
-    def is_deterministic(self) -> bool:
-        """True when eps is a fixed word (no indicator randomness)."""
-        return self.kind == "periodic"
-
 
 def fixed_pattern(model: MissingnessModel, n: int) -> np.ndarray:
     """The deterministic eps of a periodic model, tiled to length n, as a

@@ -3,12 +3,12 @@ the standard-normal integral dPhi(z) over the latent factor, and the
 expectation over the observed-fraction law.
 
 Rules are cached per (law, node count).  Reported values go through
-``converge``: evaluate at the default node count, double until two
-consecutive answers agree to ``tol``, and raise after the node budget.
+``converge``: evaluate at ``DEFAULT_NODES``, double until two consecutive
+answers agree to ``CONVERGENCE_TOL``, and raise after ``MAX_NODES``.
 ``converge`` works elementwise: an evaluation may return an array of
 independent integrals, each of which keeps the finer of its own first
-pair of answers within ``tol``, so a batch shares one rule per doubling
-and every element equals what it would converge to alone.
+pair of answers within the tolerance, so a batch shares one rule per
+doubling and every element equals what it would converge to alone.
 """
 from __future__ import annotations
 
@@ -84,31 +84,25 @@ def rule_for(
     )
 
 
-def converge(
-    law: LambdaLaw,
-    evaluate,
-    *,
-    start: int = DEFAULT_NODES,
-    tol: float = CONVERGENCE_TOL,
-    max_nodes: int = MAX_NODES,
-):
-    """Evaluate ``evaluate(rule)`` under node doubling until stable.
+def converge(law: LambdaLaw, evaluate):
+    """Evaluate ``evaluate(rule)`` under node doubling, from
+    ``DEFAULT_NODES`` up to ``MAX_NODES``, until stable.
 
-    Returns the finer of the first pair of answers within ``tol`` of each
-    other.  When ``evaluate`` returns an array, that test runs per element:
-    each element keeps its own first stable answer, doubling stops once
-    every element has settled, and the result is a float array of the same
-    shape.  A scalar ``evaluate`` gives a float.  Atomic fraction laws only
-    ever escalate the z rule.
+    Returns the finer of the first pair of answers within
+    ``CONVERGENCE_TOL`` of each other.  When ``evaluate`` returns an
+    array, that test runs per element: each element keeps its own first
+    stable answer, doubling stops once every element has settled, and the
+    result is a float array of the same shape.  A scalar ``evaluate`` gives
+    a float.  Atomic fraction laws only ever escalate the z rule.
     """
-    m = start
+    m = DEFAULT_NODES
     previous = evaluate(rule_for(law, m, m))
     result = np.array(previous, dtype=float)
     pending = np.ones(result.shape, dtype=bool)
-    while m < max_nodes:
+    while m < MAX_NODES:
         m *= 2
         current = np.asarray(evaluate(rule_for(law, m, m)), dtype=float)
-        settled = pending & (np.abs(current - previous) < tol)
+        settled = pending & (np.abs(current - previous) < CONVERGENCE_TOL)
         result[settled] = current[settled]
         pending &= ~settled
         if not pending.any():
@@ -116,6 +110,6 @@ def converge(
         previous = current
     unsettled = f"{np.count_nonzero(pending)} of {pending.size} elements " if pending.ndim else ""
     raise QuadratureConvergenceError(
-        f"integral did not stabilize to {tol:g} within {max_nodes} nodes "
+        f"integral did not stabilize to {CONVERGENCE_TOL:g} within {MAX_NODES} nodes "
         f"({unsettled}unsettled at {m} nodes)"
     )

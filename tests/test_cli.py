@@ -122,12 +122,20 @@ def test_config_errors_exit_2(tmp_path):
         lambda d: d["model"].update(family="log_decay", shift=math.nan),
         lambda d: d["model"].update(family="log_decay", shift=math.inf),
         lambda d: d.update(sigma=math.inf),
+        # JSON booleans are not numbers: no config field is boolean
+        lambda d: d.update(reps=True),
+        lambda d: d["targets"][0]["terms"][0].update(k=True),
+        lambda d: d["targets"][0]["terms"][0].update(x=False),
+        lambda d: d.update(sigma=True),
+        lambda d: d.update(missingness={"kind": "iid_bernoulli", "p": True}),
+        lambda d: d["model"].update(gamma=False),
     ],
     ids=[
         "model", "lambda_law", "terms", "k", "gamma", "reps", "master_seed",
         "master_seed_fraction", "reps_fraction", "reps_inf", "workers_fraction", "n_fraction",
         "k_fraction", "value_fraction", "x_nan", "count_x_nan", "beta_alpha_nan",
         "beta_alpha_inf", "discrete_weight_nan", "shift_nan", "shift_inf", "sigma_inf",
+        "reps_bool", "k_bool", "x_bool", "sigma_bool", "p_bool", "gamma_bool",
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, mutate):
@@ -160,8 +168,17 @@ def test_model_error_has_one_prefix(tmp_path, capsys):
          "count value must be >= 0, got -1"),
         ({"type": "location", "class": "missed", "s": 2.0},
          "location threshold must lie in (0,1], got 2.0"),
+        ({"type": "count", "class": "missed", "intervals": [[0.5, 0.2]], "x": 0.0, "op": "eq",
+          "value": 0},
+         "bad interval (0.5, 0.2]"),
+        ({"type": "count", "class": "missed", "intervals": [], "x": 0.0, "op": "eq", "value": 0},
+         "interval family must be nonempty"),
+        ({"type": "count", "class": "missed", "intervals": [[0.2, 0.6], [0.1, 0.3]], "x": 0.0,
+          "op": "eq", "value": 0},
+         "intervals must be disjoint and sorted"),
     ],
-    ids=["order", "count", "location"],
+    ids=["order", "count", "location", "interval_reversed", "intervals_empty",
+         "intervals_unsorted"],
 )
 def test_term_range_error_names_event_and_term(tmp_path, capsys, bad_term, message):
     doc = copy.deepcopy(CONFIG)

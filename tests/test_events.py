@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -188,6 +189,20 @@ def test_theory_void_multiple_levels_fold_to_min():
     assert theory_limit(ev, PARAMS) == pytest.approx(expected, abs=1e-15)
 
 
+def test_theory_void_does_not_depend_on_term_order():
+    # summed in first-seen family order, these give two values differing in
+    # the last bit, for the limit and the finite-n value alike
+    families = [IntervalFamily.of((c, c + 0.25)) for c in (0.0, 0.25, 0.5, 0.75)]
+    terms = [CountTerm(which, fam, x, "eq", 0) for which, fam, x in
+             zip(("observed", "missed", "observed", "all"), families, (0.5, 1.0, -0.5, 0.0))]
+    pattern = fixed_pattern(MissingnessModel.periodic("110"), 200)
+    limits, finites = set(), set()
+    for order in itertools.permutations(terms):
+        limits.add(theory_limit(Event("v", order), PARAMS))
+        finites.add(theory_finite_n(Event("v", order), 200, 0.0, pattern))
+    assert len(limits) == len(finites) == 1 and None not in limits | finites
+
+
 def test_theory_counts_pmf_quadruple():
     fam = IntervalFamily.of((0.2, 0.7))
     ev = Event(
@@ -272,6 +287,87 @@ def test_theory_unrecognized_shapes():
                                     order_stat("observed", 2, 0.0))), PARAMS) is None
     assert theory_limit(Event("u", (LocationTerm("observed", 0.5),
                                     CountTerm("observed", fam, 0.0, "eq", 0))), PARAMS) is None
+
+
+PMF_FAM = IntervalFamily.of((0.2, 0.7))
+
+
+def _eq(which, x, value, family=PMF_FAM):
+    return CountTerm(which, family, x, "eq", value)
+
+
+@pytest.mark.parametrize(
+    "terms, expected",
+    [
+        ((_eq("observed", 0.3, 2), _eq("missed", 0.3, 1)), (0.3, 0.3, 2, 1, 2, 1)),
+        ((_eq("missed", -0.4, 0), _eq("observed", -0.4, 3)), (-0.4, -0.4, 3, 0, 3, 0)),
+        ((_eq("observed", 1.0, 1), _eq("missed", 1.0, 0), _eq("observed", 0.0, 2),
+          _eq("missed", 0.0, 1)), (1.0, 0.0, 1, 0, 2, 1)),
+        ((_eq("missed", 0.0, 1), _eq("observed", 0.0, 2), _eq("missed", 1.0, 0),
+          _eq("observed", 1.0, 1)), (1.0, 0.0, 1, 0, 2, 1)),
+        ((_eq("observed", 0.3, 2),), None),
+        ((_eq("observed", 1.0, 1), _eq("missed", 1.0, 0), _eq("observed", 0.0, 2)), None),
+        ((_eq("observed", 0.3, 2), _eq("missed", 0.3, 1), _eq("observed", 0.3, 2)), None),
+        ((_eq("observed", 0.3, 2), _eq("observed", 0.3, 1), _eq("missed", 0.3, 1),
+          _eq("missed", 0.0, 1)), None),
+        ((_eq("observed", 1.0, 1), _eq("missed", 1.0, 0), _eq("observed", 0.5, 1),
+          _eq("missed", 0.5, 1), _eq("observed", 0.0, 2), _eq("missed", 0.0, 1)), None),
+        ((_eq("observed", 0.3, 2), _eq("all", 0.3, 1)), None),
+        ((_eq("observed", 0.3, 2), CountTerm("missed", PMF_FAM, 0.3, "le", 1)), None),
+        ((_eq("observed", 0.3, 2), _eq("missed", 0.3, 1, IntervalFamily.of((0.8, 0.9)))), None),
+    ],
+    ids=["one-level", "one-level-missed-first", "two-level-higher-first",
+         "two-level-higher-second", "one-class", "missing-cell", "duplicate",
+         "duplicate-class-level", "three-levels", "all-class", "le-term", "two-families"],
+)
+def test_theory_counts_pmf_dispatch(terms, expected):
+    got = theory_limit(Event("pmf", terms), PARAMS)
+    if expected is None:
+        assert got is None
+    else:
+        assert got == limit_laws.joint_counts_pmf(PARAMS, PMF_FAM.measure, *expected)
+
+
+def _loc_event(*terms):
+    return Event("l", terms)
+
+
+@pytest.mark.parametrize(
+    "event, expected",
+    [
+        (_loc_event(LocationTerm("observed", 0.4)), ("obs_missed", 0.4, 1.0, INF, INF)),
+        (_loc_event(LocationTerm("observed", 0.4), order_stat("observed", 1, 0.2)),
+         ("obs_missed", 0.4, 1.0, 0.2, INF)),
+        (_loc_event(LocationTerm("missed", 0.6)), ("obs_missed", 1.0, 0.6, INF, INF)),
+        (_loc_event(order_stat("missed", 1, -0.3), LocationTerm("missed", 0.6)),
+         ("obs_missed", 1.0, 0.6, INF, -0.3)),
+        (_loc_event(LocationTerm("all", 0.4)), 0.4),
+        (_loc_event(LocationTerm("all", 0.4), order_stat("all", 1, 0.2)),
+         ("obs_all", 1.0, 0.4, 0.2, 0.2)),
+        (_loc_event(LocationTerm("observed", 0.3), LocationTerm("missed", 0.7),
+                    order_stat("missed", 1, 0.5), order_stat("observed", 1, 0.0)),
+         ("obs_missed", 0.3, 0.7, 0.0, 0.5)),
+        (_loc_event(LocationTerm("all", 0.7), LocationTerm("observed", 0.3),
+                    order_stat("observed", 1, 0.9), order_stat("all", 1, 0.2)),
+         ("obs_all", 0.3, 0.7, 0.2, 0.2)),
+        (_loc_event(LocationTerm("missed", 0.3), LocationTerm("all", 0.7),
+                    order_stat("missed", 1, -0.1), order_stat("all", 1, 0.2)),
+         ("missed_all", 0.3, 0.7, -0.1, 0.2)),
+        (_loc_event(LocationTerm("observed", 0.3), LocationTerm("missed", 0.7),
+                    LocationTerm("all", 0.5)), None),
+        (_loc_event(LocationTerm("observed", 0.3), LocationTerm("observed", 0.7)), None),
+        (_loc_event(LocationTerm("observed", 0.3), order_stat("missed", 1, 0.0)), None),
+    ],
+    ids=["observed", "observed-height", "missed", "missed-height", "all", "all-height",
+         "obs-missed-heights", "obs-all-heights", "missed-all-heights", "three-classes",
+         "repeated-class", "height-without-location"],
+)
+def test_theory_locations_dispatch(event, expected):
+    got = theory_limit(event, PARAMS)
+    if expected is None or isinstance(expected, float):
+        assert got == expected
+    else:
+        assert got == limit_laws.locations_heights_cdf(PARAMS, *expected)
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_determinism():
         model = build_model(64, spec)
         a = sample_path(model, np.random.default_rng(42))
         b = sample_path(model, np.random.default_rng(42))
-        assert a.dtype == np.float64 and a.shape == (model.paths_per_draw, 64)
+        assert a.dtype == np.float64 and a.shape == (model.spec.paths_per_draw, 64)
         assert np.array_equal(a, b)
 
 
@@ -166,7 +166,7 @@ def test_log_decay_halves_independent_and_each_matches_model_correlation():
     # model's moments; standard errors from the spread of per-draw statistics
     n, draws = 512, 2000
     model = build_model(n, CovarianceSpec("log_decay", gamma=0.5))
-    assert model.paths_per_draw == 2
+    assert model.spec.paths_per_draw == 2
     rng = np.random.default_rng(19)
     pairs = np.stack([sample_path(model, rng) for _ in range(draws)])
     re, im = pairs[:, 0], pairs[:, 1]
