@@ -20,7 +20,7 @@ import sys
 from dataclasses import astuple
 
 from .errors import ConfigError, GapExtremesError
-from .harness import _csv_field, evaluate_theory, parse_config, run_experiment, write_report
+from .harness import csv_field, evaluate_theory, parse_config, run_experiment, write_report
 from .oracle_suite import counts_suite, maxima_suite
 
 
@@ -113,7 +113,7 @@ def _cmd_oracle(args) -> int:
     with open(out_path, "w", newline="") as fh:
         fh.write("check_id,samples,empirical,theory,z,pass\n")
         for row in rows:
-            fh.write(",".join(map(_csv_field, astuple(row))) + "\n")
+            fh.write(",".join(map(csv_field, astuple(row))) + "\n")
     failures = [row for row in rows if not row.passed]
     print(f"oracle checks: {len(rows)} total, {len(failures)} failed")
     for row in failures:

@@ -4,11 +4,12 @@ An event is a conjunction of threshold terms on the observables of one
 replication: exceedance counts over interval families and scaled argmax
 locations.  An order statistic is an exceedance count: the k-th largest
 value of a class is at most u_n(x) exactly when fewer than k class values
-exceed u_n(x), so ``order_stat`` parses to a count of at most k - 1 over
+exceed u_n(x), so ``order_stat`` builds a count of at most k - 1 over
 the whole path.  These are exactly the event shapes whose limits the
 closed-form evaluators cover, so most events can be given a theoretical
 value automatically; events outside the recognized shapes simulate fine
-but carry no theory columns.
+but carry no theory columns.  The JSON form of an event is read by
+``harness``; this module knows only the built terms.
 
 For simulation, ``CompiledEvents`` reduces a replication to one
 *observable record*: a float vector with one column per distinct
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limit_laws
-from .errors import ConfigError, GapExtremesError
+from .errors import ConfigError
 from .extremes import CLASSES, IntervalFamily, LevelParams
 from .limit_laws import LimitLawParams
 
@@ -36,7 +37,6 @@ __all__ = [
     "LocationTerm",
     "Event",
     "order_stat",
-    "parse_event",
     "CompiledEvents",
     "theory_limit",
     "theory_finite_n",
@@ -100,78 +100,6 @@ class Event:
             raise ConfigError("event id must be nonempty")
         if not self.terms:
             raise ConfigError(f"event {self.event_id!r} has no terms")
-
-
-def _require_keys(doc: dict, required: set[str], optional: set[str], where: str) -> None:
-    """Check that ``doc`` is a JSON object with exactly the allowed keys and
-    no boolean value.  No config field is boolean, and Python would read
-    ``true`` as the number 1."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
-    keys = set(doc)
-    missing = required - keys
-    unknown = keys - required - optional
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    for key, value in doc.items():
-        if _has_boolean(value):
-            raise ConfigError(f"{where}: {key} must not be a boolean")
-
-
-def _has_boolean(value) -> bool:
-    """A boolean, or a (nested) list holding one; objects are checked by
-    their own ``_require_keys``."""
-    if isinstance(value, list):
-        return any(map(_has_boolean, value))
-    return isinstance(value, bool)
-
-
-def _integer(value, where: str) -> int:
-    """An integer config value.  An integral float such as ``3000.0`` is
-    accepted; a fractional or non-finite one is an error (``int`` would
-    truncate it or overflow)."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _term(where: str, make, *args):
-    """``make(*args)``, with a range error prefixed by the term's location."""
-    try:
-        return make(*args)
-    except GapExtremesError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def parse_event(doc: dict) -> Event:
-    """Build an Event from its JSON document form.  Unknown keys error, and
-    every term error names its event and term."""
-    _require_keys(doc, {"id", "terms"}, set(), "event")
-    terms = []
-    for i, term in enumerate(doc["terms"]):
-        where = f"event {doc['id']!r} term {i}"
-        if not isinstance(term, dict) or "type" not in term:
-            raise ConfigError(f"{where}: terms need a 'type' key")
-        kind = term["type"]
-        if kind == "order_stat":
-            _require_keys(term, {"type", "class", "k", "x"}, set(), where)
-            k = _integer(term["k"], f"{where}: k")
-            terms.append(_term(where, order_stat, term["class"], k, float(term["x"])))
-        elif kind == "count":
-            _require_keys(term, {"type", "class", "intervals", "x", "op", "value"}, set(), where)
-            family = _term(where, IntervalFamily.of, *term["intervals"])
-            value = _integer(term["value"], f"{where}: value")
-            terms.append(
-                _term(where, CountTerm, term["class"], family, float(term["x"]), term["op"], value)
-            )
-        elif kind == "location":
-            _require_keys(term, {"type", "class", "s"}, set(), where)
-            terms.append(_term(where, LocationTerm, term["class"], float(term["s"])))
-        else:
-            raise ConfigError(f"{where}: unknown term type {kind!r}")
-    return Event(event_id=str(doc["id"]), terms=tuple(terms))
 
 
 class CompiledEvents:
@@ -345,7 +273,7 @@ def _locations_theory(counts, locs, params: LimitLawParams) -> float | None:
         return limit_laws.locations_heights_cdf(
             params, "obs_missed", s["observed"], s["missed"], h["observed"], h["missed"]
         )
-    if len(loc) == 1 and math.isinf(h["all"]):
+    if len(loc) == 1 and h["all"] == math.inf:
         return s["all"]
     member = "missed" if "missed" in loc else "observed"
     pair = "missed_all" if member == "missed" else "obs_all"

@@ -11,6 +11,13 @@ are aggregated as integer counts, compared against the limit laws (and
 the exact one-factor value when available), and written as CSV plus a
 JSON mirror, both carrying the configuration hash so distinct
 configurations can never silently share a report file.
+
+The JSON configuration format is read here and nowhere else.  A tagged
+section, one whose ``kind`` (missingness, lambda law) or ``type`` (event
+term) key picks its shape, is built from a table that maps each kind to
+its constructor and the keys it takes.  Every error names its location
+once, and a nested section's location is composed outside in
+(``missingness: lambda_law: missing keys ['p']``).
 """
 from __future__ import annotations
 
@@ -24,9 +31,10 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, GapExtremesError
-from .events import CompiledEvents, Event, parse_event, theory_finite_n, theory_limit
-from .events import _integer, _require_keys
-from .gaussian import FAMILIES, CovarianceSpec, GaussianModel, build_model, sample_path
+from .events import CompiledEvents, CountTerm, Event, LocationTerm, order_stat
+from .events import theory_finite_n, theory_limit
+from .extremes import IntervalFamily
+from .gaussian import CovarianceSpec, GaussianModel, build_model, sample_path
 from .lambdalaw import LambdaLaw
 from .limit_laws import LimitLawParams
 from .missingness import MissingnessModel, fixed_pattern, sample_indicators
@@ -38,14 +46,13 @@ __all__ = [
     "ReportRow",
     "ComparisonReport",
     "parse_config",
+    "parse_event",
     "config_hash",
     "compare_estimates",
     "run_experiment",
     "evaluate_theory",
     "write_report",
 ]
-
-CI99_Z = 2.5758293035489004  # two-sided 99% normal quantile
 
 CSV_COLUMNS = (
     "event_id",
@@ -68,43 +75,124 @@ CSV_COLUMNS = (
 # configuration
 
 
-def parse_lambda_law(doc: dict) -> LambdaLaw:
-    _require_keys(doc, {"kind"}, {"p", "values", "weights", "a", "b", "alpha", "beta"}, "lambda_law")
-    kind = doc["kind"]
-    try:
-        if kind == "point":
-            _require_keys(doc, {"kind", "p"}, set(), "lambda_law")
-            return LambdaLaw.point(doc["p"])
-        if kind == "discrete":
-            _require_keys(doc, {"kind", "values", "weights"}, set(), "lambda_law")
-            return LambdaLaw.discrete(doc["values"], doc["weights"])
-        if kind == "uniform":
-            _require_keys(doc, {"kind", "a", "b"}, set(), "lambda_law")
-            return LambdaLaw.uniform(doc["a"], doc["b"])
-        if kind == "beta":
-            _require_keys(doc, {"kind", "alpha", "beta"}, set(), "lambda_law")
-            return LambdaLaw.beta(doc["alpha"], doc["beta"])
-    except GapExtremesError as exc:
-        raise ConfigError(f"lambda_law: {exc}") from exc
-    raise ConfigError(f"lambda_law: unknown kind {kind!r}")
+def _require_keys(doc: dict, required: set[str], optional: set[str], where: str) -> None:
+    """Check that ``doc`` is a JSON object with exactly the allowed keys and
+    no boolean value.  No config field is boolean, and Python would read
+    ``true`` as the number 1."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
+    keys = set(doc)
+    missing = required - keys
+    unknown = keys - required - optional
+    if missing:
+        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, value in doc.items():
+        if _has_boolean(value):
+            raise ConfigError(f"{where}: {key} must not be a boolean")
 
 
-def _parse_missingness(doc: dict) -> MissingnessModel:
-    _require_keys(doc, {"kind"}, {"p", "lambda_law", "pattern"}, "missingness")
-    kind = doc["kind"]
+def _has_boolean(value) -> bool:
+    """A boolean, or a (nested) list holding one; objects are checked by
+    their own ``_require_keys``."""
+    if isinstance(value, list):
+        return any(map(_has_boolean, value))
+    return isinstance(value, bool)
+
+
+def _integer(value, where: str) -> int:
+    """An integer config value.  An integral float such as ``3000.0`` is
+    accepted; a fractional or non-finite one is an error (``int`` would
+    truncate it or overflow), and so is a value ``int`` cannot read."""
     try:
-        if kind == "iid_bernoulli":
-            _require_keys(doc, {"kind", "p"}, set(), "missingness")
-            return MissingnessModel.iid_bernoulli(doc["p"])
-        if kind == "exchangeable":
-            _require_keys(doc, {"kind", "lambda_law"}, set(), "missingness")
-            return MissingnessModel.exchangeable(parse_lambda_law(doc["lambda_law"]))
-        if kind == "periodic":
-            _require_keys(doc, {"kind", "pattern"}, set(), "missingness")
-            return MissingnessModel.periodic(str(doc["pattern"]))
-    except GapExtremesError as exc:
-        raise ConfigError(f"missingness: {exc}") from exc
-    raise ConfigError(f"missingness: unknown kind {kind!r}")
+        if not isinstance(value, float) or value.is_integer():
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
+def _at(where: str, make, *args):
+    """``make(*args)``, with a range or conversion error prefixed by the
+    location ``where``.  A nested section's error already carries its own
+    location, so locations compose outside in."""
+    try:
+        return make(*args)
+    except (GapExtremesError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _section(doc: dict, where: str, tag: str, table: dict):
+    """Build a tagged section: ``doc[tag]`` picks the entry
+    (constructor, keys) of ``table``, the section must hold exactly those
+    keys besides its tag, and their values go to the constructor in order."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
+    if tag not in doc:
+        raise ConfigError(f"{where}: missing keys {[tag]}")
+    kind = doc[tag]
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"{where}: unknown {tag} {kind!r}")
+    make, keys = table[kind]
+    _require_keys(doc, {tag, *keys}, set(), where)
+    return _at(where, make, *(doc[key] for key in keys))
+
+
+#: The tagged sections: kind -> (constructor, the keys it takes in order).
+_LAMBDA_LAWS = {
+    "point": (LambdaLaw.point, ("p",)),
+    "discrete": (LambdaLaw.discrete, ("values", "weights")),
+    "uniform": (LambdaLaw.uniform, ("a", "b")),
+    "beta": (LambdaLaw.beta, ("alpha", "beta")),
+}
+_MISSINGNESS = {
+    "iid_bernoulli": (MissingnessModel.iid_bernoulli, ("p",)),
+    "exchangeable": (
+        lambda law: MissingnessModel.exchangeable(
+            _section(law, "lambda_law", "kind", _LAMBDA_LAWS)
+        ),
+        ("lambda_law",),
+    ),
+    "periodic": (lambda pattern: MissingnessModel.periodic(str(pattern)), ("pattern",)),
+}
+_TERMS = {
+    "order_stat": (
+        lambda which, k, x: order_stat(which, _integer(k, "k"), float(x)),
+        ("class", "k", "x"),
+    ),
+    "count": (
+        lambda which, intervals, x, op, value: CountTerm(
+            which, IntervalFamily.of(*intervals), float(x), op, _integer(value, "value")
+        ),
+        ("class", "intervals", "x", "op", "value"),
+    ),
+    "location": (lambda which, s: LocationTerm(which, float(s)), ("class", "s")),
+}
+
+
+def parse_event(doc: dict) -> Event:
+    """Build an Event from its JSON document form.  Unknown keys error, and
+    every term error names its event and 0-based term index."""
+    _require_keys(doc, {"id", "terms"}, set(), "event")
+    where, terms = f"event {doc['id']!r}", doc["terms"]
+    if not isinstance(terms, list):
+        raise ConfigError(f"{where}: terms must be a list, got {type(terms).__name__}")
+    terms = [_section(term, f"{where} term {i}", "type", _TERMS) for i, term in enumerate(terms)]
+    return Event(event_id=str(doc["id"]), terms=tuple(terms))
+
+
+def _model(doc: dict) -> tuple[CovarianceSpec, int]:
+    """Covariance spec and path length of the model section, built once to
+    fail fast on a bad (n, spec)."""
+    spec_kwargs = {"family": doc["family"], "gamma": float(doc.get("gamma", 0.0))}
+    if "shift" in doc:
+        if doc["family"] != "log_decay":
+            raise ConfigError("'shift' applies to the log_decay family only")
+        spec_kwargs["shift"] = float(doc["shift"])
+    spec, n = CovarianceSpec(**spec_kwargs), _integer(doc["n"], "n")
+    build_model(n, spec)
+    return spec, n
 
 
 @dataclass(frozen=True)
@@ -146,71 +234,47 @@ class ExperimentConfig:
 _EXECUTION_ONLY = ("workers", "report_name", "out_dir")
 
 
+def _at_least(doc: dict, key: str, low: int, default=None) -> int:
+    """The integer top-level field ``key``, which must be at least ``low``."""
+    value = _integer(doc.get(key, default), f"config: {key}")
+    if value < low:
+        raise ConfigError(f"config: {key} must be >= {low}, got {value}")
+    return value
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a configuration document.  Unknown keys are errors, and so
-    are values of the wrong JSON type or that do not convert."""
-    try:
-        return _parse_config(doc)
-    except GapExtremesError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed value: {exc}") from exc
-
-
-def _parse_config(doc: dict) -> ExperimentConfig:
+    are values of the wrong JSON type or that do not convert.  Every error
+    names its location once: ``config``, ``model``, ``missingness``,
+    ``missingness: lambda_law``, ``event`` or ``event 'id' term i``."""
     _require_keys(
         doc,
         {"model", "missingness", "targets", "reps", "master_seed"},
         {"workers", "sigma", "report_name", "out_dir"},
         "config",
     )
-    model_doc = doc["model"]
-    _require_keys(model_doc, {"family", "n"}, {"gamma", "shift"}, "model")
-    family = model_doc["family"]
-    if family not in FAMILIES:
-        raise ConfigError(f"model: unknown family {family!r}")
-    try:
-        spec_kwargs = {"family": family, "gamma": float(model_doc.get("gamma", 0.0))}
-        if "shift" in model_doc:
-            if family != "log_decay":
-                raise ConfigError("'shift' applies to the log_decay family only")
-            spec_kwargs["shift"] = float(model_doc["shift"])
-        spec = CovarianceSpec(**spec_kwargs)
-        n = _integer(model_doc["n"], "n")
-        build_model(n, spec)  # fail fast on bad (n, spec)
-    except GapExtremesError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-
-    missing = _parse_missingness(doc["missingness"])
+    _require_keys(doc["model"], {"family", "n"}, {"gamma", "shift"}, "model")
+    spec, n = _at("model", _model, doc["model"])
+    missingness = _section(doc["missingness"], "missingness", "kind", _MISSINGNESS)
     if not isinstance(doc["targets"], list) or not doc["targets"]:
-        raise ConfigError("targets must be a nonempty list")
+        raise ConfigError("config: targets must be a nonempty list")
     events = tuple(parse_event(e) for e in doc["targets"])
     seen = set()
     for event in events:
         if event.event_id in seen:
-            raise ConfigError(f"duplicate event id {event.event_id!r}")
+            raise ConfigError(f"config: duplicate event id {event.event_id!r}")
         seen.add(event.event_id)
-
-    reps = _integer(doc["reps"], "reps")
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {doc['reps']}")
-    workers = _integer(doc.get("workers", 1), "workers")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    master_seed = _integer(doc["master_seed"], "master_seed")
-    if master_seed < 0:
-        raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
-    sigma = float(doc.get("sigma", 4.0))
+    sigma = _at("config: sigma", float, doc.get("sigma", 4.0))
     if not 0 < sigma < math.inf:  # NaN too
-        raise ConfigError(f"sigma must be positive and finite, got {sigma}")
+        raise ConfigError(f"config: sigma must be positive and finite, got {sigma}")
     return ExperimentConfig(
         spec=spec,
         n=n,
-        missingness=missing,
+        missingness=missingness,
         events=events,
-        reps=reps,
-        master_seed=master_seed,
-        workers=workers,
+        reps=_at_least(doc, "reps", 1),
+        master_seed=_at_least(doc, "master_seed", 0),
+        workers=_at_least(doc, "workers", 1, 1),
         sigma=sigma,
         report_name=str(doc.get("report_name", "report")),
         out_dir=str(doc.get("out_dir", "reports")),
@@ -233,23 +297,13 @@ class EstimateRecord:
     p_hat: float
     reps: int
     se: float
-    ci_low: float
-    ci_high: float
 
 
 def estimate_from_count(event_id: str, hits: int, reps: int) -> EstimateRecord:
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
     p = hits / reps
-    se = math.sqrt(p * (1.0 - p) / reps)
-    return EstimateRecord(
-        event_id=event_id,
-        p_hat=p,
-        reps=reps,
-        se=se,
-        ci_low=max(0.0, p - CI99_Z * se),
-        ci_high=min(1.0, p + CI99_Z * se),
-    )
+    return EstimateRecord(event_id, p, reps, math.sqrt(p * (1.0 - p) / reps))
 
 
 def compare_estimates(
@@ -357,7 +411,7 @@ class ComparisonReport:
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join(map(_csv_field, rec.values())) for rec in self._records()]
+        lines += [",".join(map(csv_field, rec.values())) for rec in self._records()]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -378,7 +432,7 @@ def _json_number(value):
     return value
 
 
-def _csv_field(value) -> str:
+def csv_field(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (str, int)):

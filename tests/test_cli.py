@@ -159,6 +159,79 @@ def test_model_error_has_one_prefix(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "missingness, message",
+    [
+        ({"kind": "iid_bernoulli"}, "missingness: missing keys ['p']"),
+        ({"kind": "iid_bernoulli", "p": 0.5, "pattern": "10"},
+         "missingness: unknown keys ['pattern']"),
+        ({"kind": "exchangeable", "lambda_law": {"kind": "point"}},
+         "missingness: lambda_law: missing keys ['p']"),
+    ],
+    ids=["missing", "unknown", "nested"],
+)
+def test_section_key_error_has_one_prefix(tmp_path, capsys, missingness, message):
+    doc = copy.deepcopy(CONFIG)
+    doc["missingness"] = missingness
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def _field_cases():
+    """(location, sections put in place first, path of the field) for every
+    numeric and list field of a config, with the field's section kind and
+    name as id."""
+    law, term = ("missingness", "lambda_law"), ("targets", 0, "terms", 0)
+    laws = [{"kind": "point", "p": 0.5},
+            {"kind": "discrete", "values": [0.2, 0.5], "weights": [0.5, 0.5]},
+            {"kind": "uniform", "a": 0.1, "b": 0.9},
+            {"kind": "beta", "alpha": 2.0, "beta": 2.0}]
+    terms = [{"type": "order_stat", "class": "observed", "k": 1, "x": 0.0},
+             {"type": "count", "class": "missed", "intervals": [[0, 1]], "x": 0.0, "op": "eq",
+              "value": 0},
+             {"type": "location", "class": "missed", "s": 0.5}]
+    cases = [pytest.param("config", {}, (key,), id=key)
+             for key in ("reps", "workers", "master_seed", "sigma", "targets")]
+    cases += [
+        pytest.param("model", {}, ("model", "n"), id="n"),
+        pytest.param("model", {}, ("model", "gamma"), id="gamma"),
+        pytest.param("model", {("model", "family"): "log_decay", ("model", "shift"): 3.0},
+                     ("model", "shift"), id="shift"),
+        pytest.param("missingness", {("missingness",): {"kind": "iid_bernoulli", "p": 0.5}},
+                     ("missingness", "p"), id="iid_bernoulli.p"),
+        pytest.param("event 'joint_max'", {}, ("targets", 0, "terms"), id="terms"),
+    ]
+    cases += [pytest.param("missingness: lambda_law",
+                           {("missingness",): {"kind": "exchangeable", "lambda_law": doc}},
+                           (*law, key), id=f"{doc['kind']}.{key}")
+              for doc in laws for key in doc if key != "kind"]
+    cases += [pytest.param("event 'joint_max' term 0", {term: doc}, (*term, key),
+                           id=f"{doc['type']}.{key}")
+              for doc in terms for key in doc if key not in ("type", "class", "op")]
+    return cases
+
+
+def _put(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("bad", [{"a": 1}, "ab"], ids=["object", "string"])
+@pytest.mark.parametrize("location, setup, field", _field_cases())
+def test_wrong_type_error_names_its_section(tmp_path, capsys, location, setup, field, bad):
+    doc = copy.deepcopy(CONFIG)
+    for path, value in setup.items():
+        _put(doc, path, copy.deepcopy(value))
+    _put(doc, field, bad)
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {location}:")
+
+
+@pytest.mark.parametrize(
     "bad_term, message",
     [
         ({"type": "order_stat", "class": "missed", "k": 0, "x": 0.5},

@@ -12,7 +12,6 @@ from gapextremes.events import (
     Event,
     LocationTerm,
     order_stat,
-    parse_event,
     theory_finite_n,
     theory_limit,
 )
@@ -23,7 +22,7 @@ from gapextremes.extremes import (
     kth_maximum,
     max_location,
 )
-from gapextremes.harness import parse_config
+from gapextremes.harness import parse_config, parse_event
 from gapextremes.lambdalaw import LambdaLaw
 from gapextremes.limit_laws import LimitLawParams
 from gapextremes.missingness import MissingnessModel, fixed_pattern
@@ -342,6 +341,9 @@ def _loc_event(*terms):
         (_loc_event(order_stat("missed", 1, -0.3), LocationTerm("missed", 0.6)),
          ("obs_missed", 1.0, 0.6, INF, -0.3)),
         (_loc_event(LocationTerm("all", 0.4)), 0.4),
+        (_loc_event(LocationTerm("all", 0.4), order_stat("all", 1, INF)), 0.4),
+        # every value at or below u_n(-inf) is impossible
+        (_loc_event(LocationTerm("all", 0.4), order_stat("all", 1, -INF)), 0.0),
         (_loc_event(LocationTerm("all", 0.4), order_stat("all", 1, 0.2)),
          ("obs_all", 1.0, 0.4, 0.2, 0.2)),
         (_loc_event(LocationTerm("observed", 0.3), LocationTerm("missed", 0.7),
@@ -358,7 +360,8 @@ def _loc_event(*terms):
         (_loc_event(LocationTerm("observed", 0.3), LocationTerm("observed", 0.7)), None),
         (_loc_event(LocationTerm("observed", 0.3), order_stat("missed", 1, 0.0)), None),
     ],
-    ids=["observed", "observed-height", "missed", "missed-height", "all", "all-height",
+    ids=["observed", "observed-height", "missed", "missed-height", "all", "all-height-inf",
+         "all-height-neg-inf", "all-height",
          "obs-missed-heights", "obs-all-heights", "missed-all-heights", "three-classes",
          "repeated-class", "height-without-location"],
 )

@@ -1,8 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Import hygiene of the package modules.
 
-A deletion can remove the last use of an import; this catches the
-leftover without a linter dependency.  ``__init__.py`` is skipped: its
+Every name a package module imports is used in that module: a deletion
+can remove the last use of an import, and this catches the leftover
+without a linter dependency.  ``__init__.py`` is skipped there: its
 imports are the package's re-exports.
+
+No package module imports an underscore name from another package
+module: a name two modules share is not private.
 """
 import ast
 import pathlib
@@ -10,7 +14,8 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "gapextremes"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+FILES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in FILES if p.name != "__init__.py"]
 
 
 def _imported_names(tree: ast.Module):
@@ -28,3 +33,17 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(_imported_names(tree)) - used) == []
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_no_private_import_across_modules(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "gapextremes")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
