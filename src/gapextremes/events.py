@@ -5,11 +5,9 @@ replication: exceedance counts over interval families and scaled argmax
 locations.  An order statistic is an exceedance count: the k-th largest
 value of a class is at most u_n(x) exactly when fewer than k class values
 exceed u_n(x), so ``order_stat`` builds a count of at most k - 1 over
-the whole path.  These are exactly the event shapes whose limits the
-closed-form evaluators cover, so most events can be given a theoretical
-value automatically; events outside the recognized shapes simulate fine
-but carry no theory columns.  The JSON form of an event is read by
-``harness``; this module knows only the built terms.
+the whole path.  Every count-only event, and argmax locations with k = 1
+heights, get a theory value; other events simulate fine but carry no
+theory columns.  The JSON form of an event is read by ``harness``.
 
 For simulation, ``CompiledEvents`` reduces a replication to one
 *observable record*: a float vector with one column per distinct
@@ -65,6 +63,11 @@ class CountTerm:
             raise ConfigError(f"count op must be 'eq' or 'le', got {self.op!r}")
         if self.value < 0:
             raise ConfigError(f"count value must be >= 0, got {self.value}")
+
+    @property
+    def bounds(self) -> tuple[float, int]:
+        """(lo, hi) with lo <= count <= hi; lo is -inf for 'le'."""
+        return (self.value if self.op == "eq" else -math.inf, self.value)
 
 
 def order_stat(which: str, k: int, x: float) -> CountTerm:
@@ -128,7 +131,7 @@ class CompiledEvents:
                 if isinstance(term, CountTerm):
                     ranges = tuple(term.family.index_ranges(self.n))
                     key = ("count", term.which, ranges, lp.level(term.x))
-                    bounds = (term.value if term.op == "eq" else -math.inf, term.value)
+                    bounds = term.bounds
                 else:
                     key = ("location", term.which)
                     bounds = (-math.inf, math.floor(term.s * self.n + 1e-9))
@@ -172,11 +175,6 @@ def _split_terms(event: Event):
     return counts, locs
 
 
-def _families_disjoint(families) -> bool:
-    intervals = sorted(iv for fam in families for iv in fam.intervals)
-    return all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
-
-
 def _path_bounds(count_terms) -> dict[str, tuple[int, float]] | None:
     """class -> (k, x) when every term bounds a class count over the whole
     path from above, count <= k - 1 at level x (the k-th class maximum is
@@ -190,71 +188,17 @@ def _path_bounds(count_terms) -> dict[str, tuple[int, float]] | None:
     return spec
 
 
-def _void_cells(count_terms) -> list[tuple[IntervalFamily, float, float]] | None:
-    """Group void count terms into per-family (observed level, missed level)
-    cells, folding multiple levels per class through nesting (a count void
-    at two levels is void at the lower one).  Cells come sorted by interval,
-    so the theory value does not depend on the order of the terms."""
-    if any(t.value != 0 for t in count_terms):
-        return None
-    by_family: dict[IntervalFamily, tuple[float, float]] = {}
-    for term in count_terms:
-        x_eff, y_eff = by_family.get(term.family, (math.inf, math.inf))
-        if term.which in ("observed", "all"):
-            x_eff = min(x_eff, term.x)
-        if term.which in ("missed", "all"):
-            y_eff = min(y_eff, term.x)
-        by_family[term.family] = (x_eff, y_eff)
-    if not _families_disjoint(by_family):
-        return None
-    return [(fam, *by_family[fam]) for fam in sorted(by_family, key=lambda f: f.intervals)]
-
-
 def theory_limit(event: Event, params: LimitLawParams) -> float | None:
-    """Limiting probability of the event, or None when the event does not
-    match a closed-form shape.
-
-    Shapes are tried in order: argmax locations (with k = 1 heights);
-    whole-path upper bounds on fewer than three classes (order statistics);
-    void cells on disjoint families; 'eq' counts (the joint count pmf)."""
+    """Limiting probability of the event, or None when it has no closed
+    form.  Events with argmax locations take the locations-and-heights
+    law (with k = 1 heights); every other event is a conjunction of count
+    bounds, which the band-cell law covers up to its assignment cap."""
     counts, locs = _split_terms(event)
     if locs:
         return _locations_theory(counts, locs, params)
-
-    spec = _path_bounds(counts)
-    if spec is not None and len(spec) < 3:
-        # an absent class is the dropped constraint (rank 1 at +inf)
-        unconstrained = (1, math.inf)
-        if "all" not in spec:
-            (k, x), (l, y) = spec.get("observed", unconstrained), spec.get("missed", unconstrained)
-            return limit_laws.order_stats_obs_missed_cdf(params, k, l, x, y)
-        which = "missed" if "missed" in spec else "observed"
-        (k, x), (m, y) = spec.get(which, unconstrained), spec["all"]
-        return limit_laws.order_stats_vs_all_cdf(params, which, k, m, x, y)
-
-    cells = _void_cells(counts)
-    if cells is not None:
-        return limit_laws.void_probability_intervals(
-            params, [(fam.measure, x, y) for fam, x, y in cells]
-        )
-    return _counts_pmf_theory(counts, params)
-
-
-def _counts_pmf_theory(counts, params: LimitLawParams) -> float | None:
-    """Joint count pmf theory: 'eq' terms of the observed and missed classes
-    on one family, at one or two levels, each (class, level) exactly once.
-    One level is the pmf at x = y."""
-    values = {(t.which, t.x): t.value for t in counts}
-    levels = sorted({x for _, x in values}, reverse=True)
-    families = {t.family for t in counts}
-    if (any(t.op != "eq" or t.which == "all" for t in counts) or len(families) != 1
-            or len(levels) > 2 or not len(counts) == len(values) == 2 * len(levels)):
-        return None
-    x, y = levels[0], levels[-1]  # x is the higher level
-    return limit_laws.joint_counts_pmf(
-        params, families.pop().measure, x, y,
-        values["observed", x], values["missed", x], values["observed", y], values["missed", y],
-    )
+    cells = limit_laws.compile_counts([(t.which, t.family.intervals, t.x) for t in counts])
+    value = limit_laws.count_bounds_prob(params, cells, [[t.bounds for t in counts]])
+    return None if value is None else float(value[0])
 
 
 def _locations_theory(counts, locs, params: LimitLawParams) -> float | None:
@@ -285,17 +229,20 @@ def _locations_theory(counts, locs, params: LimitLawParams) -> float | None:
 
 
 def theory_finite_n(event: Event, n: int, gamma: float, pattern: np.ndarray | None) -> float | None:
-    """Exact finite-n probability via the one-factor identity, available
-    for void-type events under a deterministic indicator pattern."""
-    if pattern is None:
-        return None
+    """Exact finite-n probability via the one-factor identity, for void
+    events (every count at most 0) under a deterministic indicator
+    pattern: each atom of the event's families keeps each class below the
+    lowest level a term counts it at."""
     counts, locs = _split_terms(event)
-    grouped = None if locs else _void_cells(counts)
-    if grouped is None:
+    if pattern is None or locs or any(t.value for t in counts):
         return None
+    cells = limit_laws.compile_counts([(t.which, t.family.intervals, t.x) for t in counts])
+    lowest = dict.fromkeys(((a, w) for a in range(len(cells.atoms)) for w in CLASSES), math.inf)
+    for _, pieces in cells.variables:
+        for atom, which, _, bottom in pieces:
+            lowest[atom, which] = min(lowest[atom, which], bottom)
     pattern = np.asarray(pattern).astype(bool)
-    cells = []
-    for family, x_eff, y_eff in grouped:
-        mask = family.member_mask(n)
-        cells.append((int((pattern & mask).sum()), int((~pattern & mask).sum()), x_eff, y_eff))
-    return limit_laws.finite_n_one_factor_prob(n, gamma, cells)
+    masks = [IntervalFamily(intervals).member_mask(n) for intervals, _ in cells.atoms]
+    return limit_laws.finite_n_one_factor_prob(n, gamma, [
+        (int((pattern & m).sum()), int((~pattern & m).sum()), lowest[a, "observed"],
+         lowest[a, "missed"]) for a, m in enumerate(masks)])

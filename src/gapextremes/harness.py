@@ -15,9 +15,12 @@ configurations can never silently share a report file.
 The JSON configuration format is read here and nowhere else.  A tagged
 section, one whose ``kind`` (missingness, lambda law) or ``type`` (event
 term) key picks its shape, is built from a table that maps each kind to
-its constructor and the keys it takes.  Every error names its location
-once, and a nested section's location is composed outside in
-(``missingness: lambda_law: missing keys ['p']``).
+its constructor and the keys it takes, and each field is read by its JSON
+type (a number, an integer, a string, a list of numbers or of interval
+pairs), so a value of another type is an error that names the field.
+Every error names its location once, and a nested section's location is
+composed outside in (``missingness: lambda_law: a must be a number, got
+'x'``).
 """
 from __future__ import annotations
 
@@ -102,15 +105,51 @@ def _has_boolean(value) -> bool:
 
 
 def _integer(value, where: str) -> int:
-    """An integer config value.  An integral float such as ``3000.0`` is
-    accepted; a fractional or non-finite one is an error (``int`` would
-    truncate it or overflow), and so is a value ``int`` cannot read."""
-    try:
-        if not isinstance(value, float) or value.is_integer():
-            return int(value)
-    except (TypeError, ValueError):
-        pass
+    """An integer config value: a JSON integer, or an integral float such
+    as ``3000.0``.  A fractional or non-finite float is an error (``int``
+    would truncate it or overflow), and so is any other JSON type."""
+    if isinstance(value, int) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
     raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
+def _number(value, where: str) -> float:
+    """A real config value: a JSON integer or float, NaN and +-Infinity
+    included (ranges are checked where the value is used)."""
+    if isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    raise ConfigError(f"{where} must be a number, got {value!r}")
+
+
+def _string(value, where: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{where} must be a string, got {value!r}")
+
+
+def _numbers(value, where: str) -> list[float]:
+    if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return [_number(v, where) for v in value]
+
+
+def _family(value, where: str) -> IntervalFamily:
+    """A list of [c, d] pairs of numbers, read as an interval family."""
+    if not isinstance(value, list) or any(not isinstance(p, list) or len(p) != 2 for p in value):
+        raise ConfigError(f"{where} must be a list of [c, d] pairs, got {value!r}")
+    return IntervalFamily.of(*(_numbers(pair, where) for pair in value))
+
+
+#: How a tagged section reads each of its fields; a field missing here is
+#: handed on as parsed (a class, an op, a nested section).
+_READERS = {
+    "p": _number, "a": _number, "b": _number, "alpha": _number, "beta": _number,
+    "values": _numbers, "weights": _numbers, "pattern": _string,
+    "k": _integer, "x": _number, "intervals": _family, "value": _integer, "s": _number,
+}
 
 
 def _at(where: str, make, *args):
@@ -126,7 +165,8 @@ def _at(where: str, make, *args):
 def _section(doc: dict, where: str, tag: str, table: dict):
     """Build a tagged section: ``doc[tag]`` picks the entry
     (constructor, keys) of ``table``, the section must hold exactly those
-    keys besides its tag, and their values go to the constructor in order."""
+    keys besides its tag, and their values, each read by its entry in
+    ``_READERS``, go to the constructor in order."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
     if tag not in doc:
@@ -136,7 +176,8 @@ def _section(doc: dict, where: str, tag: str, table: dict):
         raise ConfigError(f"{where}: unknown {tag} {kind!r}")
     make, keys = table[kind]
     _require_keys(doc, {tag, *keys}, set(), where)
-    return _at(where, make, *(doc[key] for key in keys))
+    read = {key: _READERS.get(key, lambda value, _: value) for key in keys}
+    return _at(where, lambda: make(*(read[key](doc[key], key) for key in keys)))
 
 
 #: The tagged sections: kind -> (constructor, the keys it takes in order).
@@ -154,20 +195,12 @@ _MISSINGNESS = {
         ),
         ("lambda_law",),
     ),
-    "periodic": (lambda pattern: MissingnessModel.periodic(str(pattern)), ("pattern",)),
+    "periodic": (MissingnessModel.periodic, ("pattern",)),
 }
 _TERMS = {
-    "order_stat": (
-        lambda which, k, x: order_stat(which, _integer(k, "k"), float(x)),
-        ("class", "k", "x"),
-    ),
-    "count": (
-        lambda which, intervals, x, op, value: CountTerm(
-            which, IntervalFamily.of(*intervals), float(x), op, _integer(value, "value")
-        ),
-        ("class", "intervals", "x", "op", "value"),
-    ),
-    "location": (lambda which, s: LocationTerm(which, float(s)), ("class", "s")),
+    "order_stat": (order_stat, ("class", "k", "x")),
+    "count": (CountTerm, ("class", "intervals", "x", "op", "value")),
+    "location": (LocationTerm, ("class", "s")),
 }
 
 
@@ -175,21 +208,22 @@ def parse_event(doc: dict) -> Event:
     """Build an Event from its JSON document form.  Unknown keys error, and
     every term error names its event and 0-based term index."""
     _require_keys(doc, {"id", "terms"}, set(), "event")
-    where, terms = f"event {doc['id']!r}", doc["terms"]
+    event_id, terms = _string(doc["id"], "event: id"), doc["terms"]
+    where = f"event {event_id!r}"
     if not isinstance(terms, list):
         raise ConfigError(f"{where}: terms must be a list, got {type(terms).__name__}")
     terms = [_section(term, f"{where} term {i}", "type", _TERMS) for i, term in enumerate(terms)]
-    return Event(event_id=str(doc["id"]), terms=tuple(terms))
+    return Event(event_id=event_id, terms=tuple(terms))
 
 
 def _model(doc: dict) -> tuple[CovarianceSpec, int]:
     """Covariance spec and path length of the model section, built once to
     fail fast on a bad (n, spec)."""
-    spec_kwargs = {"family": doc["family"], "gamma": float(doc.get("gamma", 0.0))}
+    spec_kwargs = {"family": doc["family"], "gamma": _number(doc.get("gamma", 0.0), "gamma")}
     if "shift" in doc:
         if doc["family"] != "log_decay":
             raise ConfigError("'shift' applies to the log_decay family only")
-        spec_kwargs["shift"] = float(doc["shift"])
+        spec_kwargs["shift"] = _number(doc["shift"], "shift")
     spec, n = CovarianceSpec(**spec_kwargs), _integer(doc["n"], "n")
     build_model(n, spec)
     return spec, n
@@ -264,7 +298,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if event.event_id in seen:
             raise ConfigError(f"config: duplicate event id {event.event_id!r}")
         seen.add(event.event_id)
-    sigma = _at("config: sigma", float, doc.get("sigma", 4.0))
+    sigma = _number(doc.get("sigma", 4.0), "config: sigma")
     if not 0 < sigma < math.inf:  # NaN too
         raise ConfigError(f"config: sigma must be positive and finite, got {sigma}")
     return ExperimentConfig(
@@ -276,8 +310,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         master_seed=_at_least(doc, "master_seed", 0),
         workers=_at_least(doc, "workers", 1, 1),
         sigma=sigma,
-        report_name=str(doc.get("report_name", "report")),
-        out_dir=str(doc.get("out_dir", "reports")),
+        report_name=_string(doc.get("report_name", "report"), "config: report_name"),
+        out_dir=_string(doc.get("out_dir", "reports"), "config: out_dir"),
     )
 
 

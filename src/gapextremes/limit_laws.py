@@ -9,30 +9,32 @@ Poisson with intensities ``lam * g`` and ``(1 - lam) * g``, where
     g(x, z) = exp(-x - gamma + sqrt(2 gamma) z)
 
 is the limiting mean number of exceedances of level u_n(x) given xi = z.
-Every limit evaluator is thus an expectation of a product of Poisson
-probabilities: it validates its arguments and hands an integrand
-``f(lam, g)`` to one kernel, ``_mixed_poisson``, which alone contracts it
-against the quadrature rules, refines until stable (quadrature.converge)
-and clips to [0, 1].  The exact finite-n identity of the one-factor model
-is the same kind of integral over xi, under the unit fraction law, so it
-goes through the same kernel with log Phi of the factor-shifted level in
-place of the intensity.
+Every law hands an integrand ``f(lam, g)`` to one kernel,
+``_mixed_poisson``, which alone contracts it against the quadrature
+rules, refines until stable (quadrature.converge; a batch shares each
+rule, every element settling on its own) and clips to [0, 1].
 
-The kernel also takes a batch of integrals sharing one rule per doubling,
-each refined until stable on its own.  ``joint_counts_pmf_batch`` uses it
-for many count cells at once: on each rule it builds the four Poisson pmf
-tables (observed/missed class, above the higher level/between the levels)
-once, for the counts asked for, and every cell's integrand is a
-product of four table rows.  The scalar ``joint_counts_pmf`` is its
-one-row call.  ``locations_heights_cdf`` batches over arrays of locations
-the same way.
+Count events have one law.  ``compile_counts`` cuts (0, 1] into atoms at
+the terms' interval endpoints and the levels into bands; given (lambda,
+xi) the exceedances per (atom, class, band) are independent Poisson, and
+those the same terms count merge into one variable.  ``count_bounds_prob``
+takes rows of per-term (lo, hi) bounds, sums over the pruned assignments
+of the shared variables, takes each term's private variable in closed
+form, and multiplies the factors in canonical order from per-rule tables.
+The order-statistic, joint-count and void evaluators wrap it.  The
+locations law and the exact finite-n identity of the one-factor model
+(log Phi of the factor-shifted level in place of g, under the unit
+fraction law) run on the same kernel.
 
 Level arguments accept +inf to drop the corresponding constraint.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 from scipy import special
@@ -44,6 +46,10 @@ from .quadrature import QuadratureRule, converge
 
 __all__ = [
     "LimitLawParams",
+    "CountCells",
+    "MAX_ASSIGNMENTS",
+    "compile_counts",
+    "count_bounds_prob",
     "g_intensity",
     "joint_maxima_cdf",
     "order_stats_obs_missed_cdf",
@@ -94,11 +100,6 @@ def _poisson_pmf(k: int, mu: np.ndarray) -> np.ndarray:
     return np.exp(log_pmf, out=log_pmf)
 
 
-def _poisson_cdf(kmax: int, mu: np.ndarray) -> np.ndarray:
-    """P(Poisson(mu) <= kmax); equals 1 at mu = 0."""
-    return special.pdtr(kmax, mu)
-
-
 def _clip_prob(value):
     """Clamp to [0, 1]; arrays elementwise by the same scalar rule."""
     if np.ndim(value):
@@ -128,85 +129,168 @@ def _mixed_poisson(params: LimitLawParams, integrand, shape: tuple = (), per_lev
     return _clip_prob(converge(params.lambda_law, evaluate))
 
 
+#: most search steps per row of bounds; an event needing more gets no value
+MAX_ASSIGNMENTS = 4096
+
+
+@dataclass(frozen=True)
+class CountCells:
+    """The cells of count terms.  ``index`` maps each input term to one of
+    the distinct (class, intervals, x) terms, numbered 0, 1, ...  ``atoms``
+    are (intervals, measure): pieces of (0, 1] between endpoints, grouped
+    by the terms covering them.  ``variables`` are independent Poisson
+    counts, as (members, pieces) in canonical (atom, class, band) order:
+    the terms each counts toward, and its (atom, class, top, bottom) pieces."""
+
+    index: tuple
+    atoms: tuple
+    variables: tuple
+
+
+def compile_counts(terms) -> CountCells:
+    """Cells of the count terms (class, intervals, x), each the count of
+    class exceedances of u_n(x) over a union of intervals (c, d]."""
+    keys: dict[tuple, int] = {}
+    index = tuple(keys.setdefault((w, tuple(map(tuple, iv)), float(x)), len(keys))
+                  for w, iv, x in terms)
+    distinct = tuple(keys)
+    cuts = sorted({end for _, iv, _ in distinct for pair in iv for end in pair})
+    groups: dict[frozenset, list] = {}
+    for a, b in zip(cuts, cuts[1:]):
+        cover = frozenset(t for t, (_, iv, _) in enumerate(distinct)
+                          if any(c <= a and b <= d for c, d in iv))
+        if cover:
+            groups.setdefault(cover, []).append((a, b))
+    levels = sorted({x for *_, x in distinct if x < math.inf}, reverse=True)
+    runs: dict[tuple, list] = {}
+    for atom, cover in enumerate(groups):
+        for which in ("observed", "missed"):
+            members = [tuple(t for t in sorted(cover) if distinct[t][0] in (which, "all")
+                             and level >= distinct[t][2]) for level in levels]
+            for j, run in enumerate(members):
+                if run and run not in members[j + 1:j + 2]:  # the last band of a run
+                    top = (math.inf, *levels)[members.index(run)]  # runs are contiguous
+                    runs.setdefault(run, []).append((atom, which, top, levels[j]))
+    atoms = tuple((tuple(p), float(sum(d - c for c, d in p))) for p in groups.values())
+    return CountCells(index, atoms, tuple((m, tuple(p)) for m, p in runs.items()))
+
+
+def _assignments(cells: CountCells, row):
+    """One tuple of factor keys (variable, pmf or cdf, count) per admissible
+    assignment of the shared variables under one row of bounds; None past the cap."""
+    n = max(cells.index, default=-1) + 1
+    lo, hi = [-math.inf] * n, [math.inf] * n
+    for t, (a, b) in zip(cells.index, row):
+        if a not in (b, -math.inf):
+            raise InvalidParameterError(f"bounds must be (k, k) or (-inf, k), got {(a, b)}")
+        lo[t], hi[t] = max(lo[t], a), min(hi[t], b)
+    members = [m for m, _ in cells.variables]
+    private = {m[0]: v for v, m in enumerate(members) if len(m) == 1}
+    shared = [v for v, m in enumerate(members) if len(m) > 1]
+    last = {t: v for v in shared for t in members[v]}
+    if any(lo[t] > hi[t] or not (t in private or t in last or lo[t] <= 0 <= hi[t])
+           for t in range(n)):
+        return []
+    found, stack, visits = [], [(0, [0] * n, ())], 0
+    while stack and visits <= MAX_ASSIGNMENTS:
+        i, sums, keys = stack.pop()
+        visits += 1
+        if i == len(shared):
+            keys += tuple((v, "pmf" if lo[t] == hi[t] else "cdf", hi[t] - sums[t])
+                          for t, v in private.items())
+            found.append(tuple(sorted(keys)))
+            continue
+        v, ts = shared[i], members[shared[i]]
+        # a term without a private variable is settled by its last shared one
+        low = max([0] + [lo[t] - sums[t] for t in ts if last[t] == v and t not in private])
+        for c in reversed(range(int(low), int(min(hi[t] - sums[t] for t in ts)) + 1)):
+            sums_c = [s + c if t in ts else s for t, s in enumerate(sums)]
+            stack.append((i + 1, sums_c, keys + ((v, "pmf", c),)))
+    return None if visits > MAX_ASSIGNMENTS else found
+
+
+def count_bounds_prob(params: LimitLawParams, cells: CountCells, bounds) -> np.ndarray | None:
+    """Limit probability, per row of ``bounds``, that every count term of
+    ``cells`` lies in its integer bounds (lo, hi): hi finite, lo = hi or
+    -inf.  A row no assignment satisfies gets exactly 0, a row without
+    variables 1, and None comes back past ``MAX_ASSIGNMENTS`` steps."""
+    rows = [_assignments(cells, row) for row in bounds]
+    if None in rows:
+        return None
+    out = np.array([float(r == [()]) for r in rows])
+    live = [i for i, r in enumerate(rows) if r and r != [()]]
+    uses = Counter(key for i in live for keys in rows[i] for key in keys)
+    levels = {x for v, _, _ in uses
+              for *_, top, bottom in cells.variables[v][1] for x in (top, bottom)}
+
+    def integrand(lam, g):
+        fracs, at = {"observed": lam, "missed": 1.0 - lam}, {x: g(x) for x in levels}
+        table, left = {}, dict(uses)
+
+        def factor(key):  # a table entry lives from the first use of its key to the last
+            v, kind, k = key
+            if key not in table:
+                mu = reduce(add, (fracs[which] * cells.atoms[atom][1] * (at[bottom] - at[top])
+                                  for atom, which, top, bottom in cells.variables[v][1]))
+                table[key] = _poisson_pmf(k, mu) if kind == "pmf" else special.pdtr(k, mu)
+            left[key] -= 1
+            return table[key] if left[key] else table.pop(key)
+
+        for i in live:  # products and sums start from their first term
+            yield reduce(add, (reduce(mul, map(factor, keys)) for keys in rows[i]))
+
+    out[live] = _mixed_poisson(params, integrand, (len(live),)) if live else []
+    return out
+
+
+def _event_prob(params: LimitLawParams, terms) -> float:
+    """``count_bounds_prob`` of one event of (class, intervals, x, lo, hi) terms."""
+    cells = compile_counts([t[:3] for t in terms])
+    value = count_bounds_prob(params, cells, [[t[3:] for t in terms]])
+    if value is None:
+        raise InvalidParameterError(f"the event needs more than {MAX_ASSIGNMENTS} search steps")
+    return float(value[0])
+
+
 def joint_maxima_cdf(params: LimitLawParams, x: float, y: float) -> float:
     """Limit of P(observed max <= u_n(x), missed max <= u_n(y))."""
     return order_stats_obs_missed_cdf(params, 1, 1, x, y)
 
 
-def order_stats_obs_missed_cdf(
-    params: LimitLawParams, k: int, l: int, x: float, y: float
-) -> float:
-    """Limit of P(k-th observed max <= u_n(x), l-th missed max <= u_n(y)).
-
-    Conditionally on (lambda, xi) the two classes are independent, so the
-    value is E of the product of two Poisson cdfs at k-1 and l-1.
-    """
+def order_stats_obs_missed_cdf(params: LimitLawParams, k: int, l: int, x: float, y: float) -> float:
+    """Limit of P(k-th observed max <= u_n(x), l-th missed max <= u_n(y))."""
     if k < 1 or l < 1:
         raise InvalidParameterError(f"order statistic ranks must be >= 1, got k={k}, l={l}")
-    return _mixed_poisson(
-        params,
-        lambda lam, g: _poisson_cdf(k - 1, lam * g(x)) * _poisson_cdf(l - 1, (1.0 - lam) * g(y)),
-    )
+    return _event_prob(params, [("observed", ((0.0, 1.0),), x, -math.inf, k - 1),
+                                ("missed", ((0.0, 1.0),), y, -math.inf, l - 1)])
 
 
-def order_stats_vs_all_cdf(
-    params: LimitLawParams, which: str, k: int, m: int, x: float, y: float
-) -> float:
+def order_stats_vs_all_cdf(params: LimitLawParams, which: str, k: int, m: int,
+                           x: float, y: float) -> float:
     """Limit of P(k-th class max <= u_n(x), m-th overall max <= u_n(y))
-    for ``which`` in {"observed", "missed"}.
-
-    Given the i class exceedances above the higher level (mean f g_top,
-    f the class fraction, g_top = min(g_x, g_y)), the class exceedances
-    left above x and all others above y are independent Poisson counts.
-    """
+    for ``which`` in {"observed", "missed"}."""
     if which not in ("observed", "missed"):
         raise InvalidParameterError(f"class must be observed or missed, got {which!r}")
     if k < 1 or m < 1:
         raise InvalidParameterError(f"ranks must be >= 1, got k={k}, m={m}")
-
-    def integrand(lam, g):
-        frac = lam if which == "observed" else 1.0 - lam
-        gx, gy = g(x), g(y)
-        g_top = np.minimum(gx, gy)
-        return sum(
-            _poisson_pmf(i, frac * g_top)
-            * _poisson_cdf(k - 1 - i, frac * (gx - g_top))
-            * _poisson_cdf(m - 1 - i, gy - frac * g_top)
-            for i in range(min(k, m))
-        )
-
-    return _mixed_poisson(params, integrand)
+    return _event_prob(params, [(which, ((0.0, 1.0),), x, -math.inf, k - 1),
+                                ("all", ((0.0, 1.0),), y, -math.inf, m - 1)])
 
 
-def joint_counts_pmf(
-    params: LimitLawParams,
-    measure: float,
-    x: float,
-    y: float,
-    k1: int,
-    k2: int,
-    k3: int,
-    k4: int,
-) -> float:
+def joint_counts_pmf(params: LimitLawParams, measure: float, x: float, y: float,
+                     k1: int, k2: int, k3: int, k4: int) -> float:
     """Limit pmf of the joint exceedance counts of one interval family:
     (observed at x, missed at x, observed at y, missed at y) = (k1..k4).
-
-    Count patterns violating the nesting forced by the level ordering get
-    exact probability 0.
-    """
+    Count patterns violating the nesting of the levels get exactly 0."""
     return float(joint_counts_pmf_batch(params, measure, x, y, [(k1, k2, k3, k4)])[0])
 
 
-def joint_counts_pmf_batch(
-    params: LimitLawParams, measure: float, x: float, y: float, counts
-) -> np.ndarray:
+def joint_counts_pmf_batch(params: LimitLawParams, measure: float, x: float, y: float,
+                           counts) -> np.ndarray:
     """``joint_counts_pmf`` for every row (k1, k2, k3, k4) of the (C, 4)
-    array ``counts``, as a length-C array.
-
-    All rows share each quadrature rule, and on each rule the four Poisson
-    pmf tables are built once, for the counts present; a row's value is the
-    same float a lone evaluation of it gives.
-    """
+    array ``counts``, as a length-C array.  All rows share each quadrature
+    rule and its Poisson tables; a row's value is the same float a lone
+    evaluation of it gives."""
     if not 0.0 < measure <= 1.0:
         raise InvalidParameterError(f"family measure must lie in (0,1], got {measure}")
     counts = np.asarray(counts)
@@ -215,60 +299,28 @@ def joint_counts_pmf_batch(
     for row in counts.tolist():
         if any(int(c) != c or c < 0 for c in row):
             raise InvalidParameterError(f"counts must be nonnegative integers, got {tuple(row)}")
-    k = counts.astype(np.int64)
-    if x > y:
-        lo_level, hi_level = y, x
-        obs_hi, obs_lo, mis_hi, mis_lo = k[:, 0], k[:, 2], k[:, 1], k[:, 3]
-    else:
-        lo_level, hi_level = x, y
-        obs_hi, obs_lo, mis_hi, mis_lo = k[:, 2], k[:, 0], k[:, 3], k[:, 1]
-    # per class: the count above the higher level and the count between levels
-    split = np.stack([obs_hi, obs_lo - obs_hi, mis_hi, mis_lo - mis_hi], axis=1)
-    nested = (split >= 0).all(axis=1)
-    out = np.zeros(len(k))
-    live = split[nested]
-    if not len(live):
-        return out
-
-    def integrand(lam, g):
-        g_hi = g(hi_level)
-        gap = g(lo_level) - g_hi
-
-        def table(frac, g_part, ks):
-            mu = frac * measure * g_part
-            return {j: _poisson_pmf(j, mu) for j in np.unique(ks)}
-
-        tables = (
-            table(lam, g_hi, live[:, 0]),
-            table(lam, gap, live[:, 1]),
-            table(1.0 - lam, g_hi, live[:, 2]),
-            table(1.0 - lam, gap, live[:, 3]),
-        )
-        return (tables[0][a] * tables[1][b] * tables[2][c] * tables[3][d] for a, b, c, d in live)
-
-    out[nested] = _mixed_poisson(params, integrand, (len(live),))
-    return out
+    family = ((0.0, measure),)
+    cells = compile_counts([(w, family, level) for level in (x, y) for w in ("observed", "missed")])
+    rows = counts.astype(int).tolist()
+    return count_bounds_prob(params, cells, [[(c, c) for c in row] for row in rows])
 
 
 def void_probability_intervals(params: LimitLawParams, cells) -> float:
     """Probability that every cell is free of exceedances in the limit.
-
     ``cells`` is an iterable of (measure, x, y): measure of a family, the
-    observed-class level and the missed-class level on it.  Families are
-    disjoint, so conditionally on (lambda, xi) the void events multiply.
-    """
+    observed-class level and the missed-class level on it.  The families
+    are disjoint, so they are laid end to end."""
     cells = [(float(w), float(x), float(y)) for w, x, y in cells]
     if not cells:
         raise InvalidParameterError("need at least one cell")
     total_measure = sum(w for w, _, _ in cells)
     if any(w <= 0.0 for w, _, _ in cells) or total_measure > 1.0 + 1e-12:
         raise InvalidParameterError(
-            f"cell measures must be positive with total <= 1, got total {total_measure}"
-        )
-    return _mixed_poisson(
-        params,
-        lambda lam, g: np.exp(-sum(w * (lam * g(x) + (1.0 - lam) * g(y)) for w, x, y in cells)),
-    )
+            f"cell measures must be positive with total <= 1, got total {total_measure}")
+    ends = np.cumsum([0.0] + [w for w, _, _ in cells]).tolist()
+    return _event_prob(params, [(which, ((a, b),), level, 0, 0)
+                                for a, b, (_, x, y) in zip(ends, ends[1:], cells)
+                                for which, level in (("observed", x), ("missed", y))])
 
 
 def finite_n_one_factor_prob(n: int, gamma: float, cells) -> float:

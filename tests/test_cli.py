@@ -129,6 +129,26 @@ def test_config_errors_exit_2(tmp_path):
         lambda d: d.update(sigma=True),
         lambda d: d.update(missingness={"kind": "iid_bernoulli", "p": True}),
         lambda d: d["model"].update(gamma=False),
+        # string fields must be JSON strings
+        lambda d: d.update(report_name=None),
+        lambda d: d.update(report_name={"a": 1}),
+        lambda d: d.update(out_dir=None),
+        lambda d: d.update(out_dir=7),
+        lambda d: d["targets"][0].update(id=None),
+        lambda d: d["targets"][0].update(id=3),
+        lambda d: d.update(missingness={"kind": "periodic", "pattern": 10}),
+        # numeric fields must be JSON numbers, not numeric strings
+        lambda d: d.update(reps="3"),
+        lambda d: d["targets"][0]["terms"][0].update(k="2"),
+        lambda d: d["targets"][0]["terms"][0].update(x="0.5"),
+        lambda d: d["model"].update(gamma="0.5"),
+        lambda d: d.update(sigma="5"),
+        lambda d: d["targets"][0]["terms"].append(
+            {"type": "count", "class": "observed", "intervals": [["0", "0.5"]], "x": 0.0,
+             "op": "eq", "value": 0}
+        ),
+        lambda d: d.update(missingness={"kind": "exchangeable", "lambda_law": {
+            "kind": "discrete", "values": ["0.2", 0.5], "weights": [0.5, 0.5]}}),
     ],
     ids=[
         "model", "lambda_law", "terms", "k", "gamma", "reps", "master_seed",
@@ -136,6 +156,9 @@ def test_config_errors_exit_2(tmp_path):
         "k_fraction", "value_fraction", "x_nan", "count_x_nan", "beta_alpha_nan",
         "beta_alpha_inf", "discrete_weight_nan", "shift_nan", "shift_inf", "sigma_inf",
         "reps_bool", "k_bool", "x_bool", "sigma_bool", "p_bool", "gamma_bool",
+        "report_name_null", "report_name_object", "out_dir_null", "out_dir_number", "id_null",
+        "id_number", "pattern_number", "reps_string", "k_string", "x_string", "gamma_string",
+        "sigma_string", "intervals_strings", "discrete_values_string",
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, mutate):
@@ -173,6 +196,42 @@ def test_section_key_error_has_one_prefix(tmp_path, capsys, missingness, message
     doc = copy.deepcopy(CONFIG)
     doc["missingness"] = missingness
     path = tmp_path / "keys.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "put, message",
+    [
+        ({("missingness",): {"kind": "exchangeable",
+                             "lambda_law": {"kind": "uniform", "a": "x", "b": 0.9}}},
+         "missingness: lambda_law: a must be a number, got 'x'"),
+        ({("missingness",): {"kind": "exchangeable",
+                             "lambda_law": {"kind": "uniform", "a": 0.1, "b": "x"}}},
+         "missingness: lambda_law: b must be a number, got 'x'"),
+        ({("targets", 0, "terms", 0, "x"): "0.5"},
+         "event 'joint_max' term 0: x must be a number, got '0.5'"),
+        ({("targets", 0, "terms", 0): {"type": "location", "class": "missed", "s": "x"}},
+         "event 'joint_max' term 0: s must be a number, got 'x'"),
+        ({("targets", 0, "terms", 0, "k"): "2"},
+         "event 'joint_max' term 0: k must be an integer, got '2'"),
+        ({("reps",): "3"}, "config: reps must be an integer, got '3'"),
+        ({("model", "gamma"): "0.5"}, "model: gamma must be a number, got '0.5'"),
+        ({("out_dir",): None}, "config: out_dir must be a string, got None"),
+        ({("report_name",): {"a": 1}}, "config: report_name must be a string, got {'a': 1}"),
+        ({("targets", 0, "id"): None}, "event: id must be a string, got None"),
+        ({("missingness",): {"kind": "periodic", "pattern": 10}},
+         "missingness: pattern must be a string, got 10"),
+    ],
+    ids=["uniform.a", "uniform.b", "order_stat.x", "location.s", "order_stat.k", "reps",
+         "gamma", "out_dir", "report_name", "id", "pattern"],
+)
+def test_field_type_error_names_the_field(tmp_path, capsys, put, message):
+    doc = copy.deepcopy(CONFIG)
+    for path, value in put.items():
+        _put(doc, path, value)
+    path = tmp_path / "field.json"
     path.write_text(json.dumps(doc))
     assert main(["evaluate", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"

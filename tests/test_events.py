@@ -26,6 +26,7 @@ from gapextremes.harness import parse_config, parse_event
 from gapextremes.lambdalaw import LambdaLaw
 from gapextremes.limit_laws import LimitLawParams
 from gapextremes.missingness import MissingnessModel, fixed_pattern
+from reference import assert_within_sigma, count_event_hits
 
 PARAMS = LimitLawParams(0.5, LambdaLaw.beta(2.0, 2.0))
 INF = math.inf
@@ -273,15 +274,23 @@ def test_theory_locations_with_heights():
 
 def test_theory_unrecognized_shapes():
     fam = IntervalFamily.of((0.0, 0.5))
+    # count-only events outside the former dispatch shapes get the band-cell
+    # law: a redundant second level, three classes, an 'le' count on part
+    # of the path
     assert theory_limit(Event("u", (order_stat("observed", 1, 0.0),
-                                    order_stat("observed", 2, 0.5))), PARAMS) is None
-    # three classes have no order-statistic evaluator; at k = 1 they are a void cell
+                                    order_stat("observed", 2, 0.5))), PARAMS) == pytest.approx(
+        theory_limit(Event("u", (order_stat("observed", 1, 0.0),)), PARAMS), abs=1e-15)
+    # at k = 1 three classes are a void cell
     assert theory_limit(Event("u", (order_stat("observed", 1, 0.0),
                                     order_stat("missed", 1, 0.1),
-                                    order_stat("all", 1, 0.2))), PARAMS) == (
-        limit_laws.void_probability_intervals(PARAMS, [(1.0, 0.0, 0.1)])
-    )
-    assert theory_limit(Event("u", (CountTerm("observed", fam, 0.0, "le", 2),)), PARAMS) is None
+                                    order_stat("all", 1, 0.2))), PARAMS) == pytest.approx(
+        limit_laws.void_probability_intervals(PARAMS, [(1.0, 0.0, 0.1)]), abs=1e-15)
+    # the 'le' count is a sum of joint count pmf cells of one level, each
+    # settled to 1e-10 on its own
+    cells = [(k1, k2, k1, k2) for k1 in range(3) for k2 in range(60)]
+    summed = limit_laws.joint_counts_pmf_batch(PARAMS, 0.5, 0.0, 0.0, cells).sum()
+    assert theory_limit(Event("u", (CountTerm("observed", fam, 0.0, "le", 2),)), PARAMS) == (
+        pytest.approx(summed, abs=1e-8))
     assert theory_limit(Event("u", (LocationTerm("observed", 0.5),
                                     order_stat("observed", 2, 0.0))), PARAMS) is None
     assert theory_limit(Event("u", (LocationTerm("observed", 0.5),
@@ -289,31 +298,54 @@ def test_theory_unrecognized_shapes():
 
 
 PMF_FAM = IntervalFamily.of((0.2, 0.7))
+REPS = 200_000
+FREE = range(60)  # a free count: its pmf beyond 60 is below 1e-12
 
 
 def _eq(which, x, value, family=PMF_FAM):
     return CountTerm(which, family, x, "eq", value)
 
 
+def _pmf_sum(x, y, cells):
+    """Sum of joint count pmf cells on PMF_FAM: an equivalent spelling of
+    an event that leaves some of the four counts free."""
+    return limit_laws.joint_counts_pmf_batch(PARAMS, PMF_FAM.measure, x, y, cells).sum()
+
+
+def _sampled(terms):
+    """Hit fraction of the direct limit sampler (``reference``)."""
+    spec = [(t.which, t.family.intervals, t.x, t.op, t.value) for t in terms]
+    return count_event_hits(spec, PARAMS.gamma, lambda rng, size: rng.beta(2.0, 2.0, size), REPS, 5)
+
+
 @pytest.mark.parametrize(
     "terms, expected",
     [
-        ((_eq("observed", 0.3, 2), _eq("missed", 0.3, 1)), (0.3, 0.3, 2, 1, 2, 1)),
-        ((_eq("missed", -0.4, 0), _eq("observed", -0.4, 3)), (-0.4, -0.4, 3, 0, 3, 0)),
+        ((_eq("observed", 0.3, 2), _eq("missed", 0.3, 1)), ("pmf", (0.3, 0.3, 2, 1, 2, 1))),
+        ((_eq("missed", -0.4, 0), _eq("observed", -0.4, 3)), ("pmf", (-0.4, -0.4, 3, 0, 3, 0))),
         ((_eq("observed", 1.0, 1), _eq("missed", 1.0, 0), _eq("observed", 0.0, 2),
-          _eq("missed", 0.0, 1)), (1.0, 0.0, 1, 0, 2, 1)),
+          _eq("missed", 0.0, 1)), ("pmf", (1.0, 0.0, 1, 0, 2, 1))),
         ((_eq("missed", 0.0, 1), _eq("observed", 0.0, 2), _eq("missed", 1.0, 0),
-          _eq("observed", 1.0, 1)), (1.0, 0.0, 1, 0, 2, 1)),
-        ((_eq("observed", 0.3, 2),), None),
-        ((_eq("observed", 1.0, 1), _eq("missed", 1.0, 0), _eq("observed", 0.0, 2)), None),
-        ((_eq("observed", 0.3, 2), _eq("missed", 0.3, 1), _eq("observed", 0.3, 2)), None),
+          _eq("observed", 1.0, 1)), ("pmf", (1.0, 0.0, 1, 0, 2, 1))),
+        ((_eq("observed", 0.3, 2),),
+         ("sum", lambda: _pmf_sum(0.3, 0.3, [(2, k, 2, k) for k in FREE]))),
+        ((_eq("observed", 1.0, 1), _eq("missed", 1.0, 0), _eq("observed", 0.0, 2)),
+         ("sum", lambda: _pmf_sum(1.0, 0.0, [(1, 0, 2, k) for k in FREE]))),
+        # a duplicated term is the same constraint
+        ((_eq("observed", 0.3, 2), _eq("missed", 0.3, 1), _eq("observed", 0.3, 2)),
+         ("pmf", (0.3, 0.3, 2, 1, 2, 1))),
+        # contradictory equalities on one count
         ((_eq("observed", 0.3, 2), _eq("observed", 0.3, 1), _eq("missed", 0.3, 1),
-          _eq("missed", 0.0, 1)), None),
+          _eq("missed", 0.0, 1)), ("exact", 0.0)),
         ((_eq("observed", 1.0, 1), _eq("missed", 1.0, 0), _eq("observed", 0.5, 1),
-          _eq("missed", 0.5, 1), _eq("observed", 0.0, 2), _eq("missed", 0.0, 1)), None),
-        ((_eq("observed", 0.3, 2), _eq("all", 0.3, 1)), None),
-        ((_eq("observed", 0.3, 2), CountTerm("missed", PMF_FAM, 0.3, "le", 1)), None),
-        ((_eq("observed", 0.3, 2), _eq("missed", 0.3, 1, IntervalFamily.of((0.8, 0.9)))), None),
+          _eq("missed", 0.5, 1), _eq("observed", 0.0, 2), _eq("missed", 0.0, 1)),
+         ("sampled", None)),
+        # the observed count cannot exceed the count of all values
+        ((_eq("observed", 0.3, 2), _eq("all", 0.3, 1)), ("exact", 0.0)),
+        ((_eq("observed", 0.3, 2), CountTerm("missed", PMF_FAM, 0.3, "le", 1)),
+         ("sum", lambda: _pmf_sum(0.3, 0.3, [(2, 0, 2, 0), (2, 1, 2, 1)]))),
+        ((_eq("observed", 0.3, 2), _eq("missed", 0.3, 1, IntervalFamily.of((0.8, 0.9)))),
+         ("sampled", None)),
     ],
     ids=["one-level", "one-level-missed-first", "two-level-higher-first",
          "two-level-higher-second", "one-class", "missing-cell", "duplicate",
@@ -321,10 +353,15 @@ def _eq(which, x, value, family=PMF_FAM):
 )
 def test_theory_counts_pmf_dispatch(terms, expected):
     got = theory_limit(Event("pmf", terms), PARAMS)
-    if expected is None:
-        assert got is None
+    kind, reference = expected
+    if kind == "pmf":
+        assert got == limit_laws.joint_counts_pmf(PARAMS, PMF_FAM.measure, *reference)
+    elif kind == "exact":
+        assert got == reference
+    elif kind == "sum":
+        assert got == pytest.approx(reference(), abs=1e-8)  # each cell settles to 1e-10
     else:
-        assert got == limit_laws.joint_counts_pmf(PARAMS, PMF_FAM.measure, *expected)
+        assert_within_sigma(_sampled(terms), got, REPS)
 
 
 def _loc_event(*terms):
