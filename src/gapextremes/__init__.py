@@ -43,7 +43,6 @@ from .limit_laws import (
     joint_counts_pmf,
     joint_counts_pmf_batch,
     joint_maxima_cdf,
-    locations_cdf,
     locations_heights_cdf,
     order_stats_obs_missed_cdf,
     order_stats_vs_all_cdf,

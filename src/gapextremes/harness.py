@@ -33,7 +33,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, GapExtremesError
+from .errors import ConfigError, GapExtremesError, QuadratureConvergenceError
 from .events import CompiledEvents, CountTerm, Event, LocationTerm, order_stat
 from .events import theory_finite_n, theory_limit
 from .extremes import IntervalFamily
@@ -480,11 +480,14 @@ def csv_field(value) -> str:
 
 def _event_theory(config: ExperimentConfig, event: Event) -> tuple[float | None, float | None]:
     params = config.limit_params()
-    limit = theory_limit(event, params)
     finite = None
-    if config.spec.family == "one_factor" and config.missingness.kind == "periodic":
-        pattern = fixed_pattern(config.missingness, config.n)
-        finite = theory_finite_n(event, config.n, config.spec.gamma, pattern)
+    try:
+        limit = theory_limit(event, params)
+        if config.spec.family == "one_factor" and config.missingness.kind == "periodic":
+            pattern = fixed_pattern(config.missingness, config.n)
+            finite = theory_finite_n(event, config.n, config.spec.gamma, pattern)
+    except QuadratureConvergenceError as exc:
+        raise QuadratureConvergenceError(f"event {event.event_id!r}: {exc}") from exc
     return limit, finite
 
 

@@ -9,10 +9,14 @@ Poisson with intensities ``lam * g`` and ``(1 - lam) * g``, where
     g(x, z) = exp(-x - gamma + sqrt(2 gamma) z)
 
 is the limiting mean number of exceedances of level u_n(x) given xi = z.
-Every law hands an integrand ``f(lam, g)`` to one kernel,
-``_mixed_poisson``, which alone contracts it against the quadrature
-rules, refines until stable (quadrature.converge; a batch shares each
-rule, every element settling on its own) and clips to [0, 1].
+Every law hands an integrand ``f(lam, g)`` and the levels it uses to one
+kernel, ``_mixed_poisson``, which alone contracts it against the
+quadrature rules, refines until stable (quadrature.converge; a batch
+shares each rule, every element settling on its own, and finer rules see
+only the pending elements) and clips to [0, 1].  For gamma > 0 the
+integrand steps from 1 to 0 where g(x, z) crosses 1, at
+z = (x + gamma) / sqrt(2 gamma) (``g_step``), so the z rule is cut at each
+level's step; with gamma = 0 it has one node.
 
 Count events have one law.  ``compile_counts`` cuts (0, 1] into atoms at
 the terms' interval endpoints and the levels into bands; given (lambda,
@@ -22,9 +26,10 @@ takes rows of per-term (lo, hi) bounds, sums over the pruned assignments
 of the shared variables, takes each term's private variable in closed
 form, and multiplies the factors in canonical order from per-rule tables.
 The order-statistic, joint-count and void evaluators wrap it.  The
-locations law and the exact finite-n identity of the one-factor model
-(log Phi of the factor-shifted level in place of g, under the unit
-fraction law) run on the same kernel.
+locations-and-heights law (the location-only law at +inf heights) and the
+exact finite-n identity of the one-factor model (log Phi of the
+factor-shifted level in place of g, under the unit fraction law, with its
+own steps) run on the same kernel.
 
 Level arguments accept +inf to drop the corresponding constraint.
 """
@@ -51,6 +56,7 @@ __all__ = [
     "compile_counts",
     "count_bounds_prob",
     "g_intensity",
+    "g_step",
     "joint_maxima_cdf",
     "order_stats_obs_missed_cdf",
     "order_stats_vs_all_cdf",
@@ -59,7 +65,6 @@ __all__ = [
     "void_probability_intervals",
     "finite_n_one_factor_prob",
     "locations_heights_cdf",
-    "locations_cdf",
 ]
 
 # cap on log g so exp never overflows; exp(700) ~ 1e304 still kills any
@@ -107,26 +112,46 @@ def _clip_prob(value):
     return min(max(value, 0.0), 1.0)
 
 
-def _mixed_poisson(params: LimitLawParams, integrand, shape: tuple = (), per_level=g_intensity):
+def g_step(gamma: float, x: float) -> tuple[float, float]:
+    """Centre and width in z of the step of exp(-g(x, z)) from 1 to 0:
+    g(x, z) = 1 at z = (x + gamma) / sqrt(2 gamma), and it grows by e
+    every 1 / sqrt(2 gamma).  Needs gamma > 0 and a finite x."""
+    root = math.sqrt(2.0 * gamma)
+    return (x + gamma) / root, 1.0 / root
+
+
+def _mixed_poisson(params: LimitLawParams, integrand, levels, shape: tuple = (),
+                   per_level=g_intensity, step=g_step):
     """E over (lambda, xi) of ``integrand(lam, g)``, with ``lam`` the
     fraction column and ``g(level)`` the per-level map
     ``per_level(gamma, level, z)`` at the factor nodes z: the intensity
-    ``g_intensity`` for the limit laws.
+    ``g_intensity`` for the limit laws.  ``levels`` are those the
+    integrand may use; the z rule is aligned to the step (centre, width)
+    ``step(gamma, level)`` of each finite one, and has one node when
+    gamma = 0 or no level is finite.
 
-    A nonempty ``shape`` makes it a batch: ``integrand`` then returns an
-    array with leading axes ``shape``, or an iterable of one value array
-    per element, and the result is an array of that shape whose elements
-    each converge on their own."""
+    A nonempty ``shape`` makes it a batch: ``integrand(lam, g, rows)``
+    then gets the flat indices of the elements still pending (None for
+    all of them) and returns one value array per element, for every
+    element or for just those rows: as an array whose leading axes hold
+    the elements, or as an iterable.  The result is an array of that
+    shape whose elements each converge on their own."""
+    steps = () if params.gamma == 0.0 else tuple(
+        step(params.gamma, x) for x in sorted(set(levels)) if math.isfinite(x))
 
     def evaluate(rule: QuadratureRule):
-        values = integrand(rule.lam_col, lambda x: per_level(params.gamma, x, rule.z))
+        def g(x):
+            return per_level(params.gamma, x, rule.z)
+
         if not shape:
-            return rule.expect(values)
+            return rule.expect(integrand(rule.lam_col, g))
+        values = integrand(rule.lam_col, g, rule.rows)
         if isinstance(values, np.ndarray):
             values = values.reshape(-1, *values.shape[-2:])
-        return np.reshape([rule.expect(v) for v in values], shape)
+        return np.array([rule.expect(v) for v in values])
 
-    return _clip_prob(converge(params.lambda_law, evaluate))
+    value = converge(params.lambda_law, evaluate, steps=steps)
+    return _clip_prob(np.reshape(value, shape) if shape else value)
 
 
 #: most search steps per row of bounds; an event needing more gets no value
@@ -219,13 +244,13 @@ def count_bounds_prob(params: LimitLawParams, cells: CountCells, bounds) -> np.n
         return None
     out = np.array([float(r == [()]) for r in rows])
     live = [i for i, r in enumerate(rows) if r and r != [()]]
-    uses = Counter(key for i in live for keys in rows[i] for key in keys)
-    levels = {x for v, _, _ in uses
-              for *_, top, bottom in cells.variables[v][1] for x in (top, bottom)}
+    levels = {x for _, pieces in cells.variables
+              for *_, top, bottom in pieces for x in (top, bottom)}
 
-    def integrand(lam, g):
+    def integrand(lam, g, pending):
+        pending = live if pending is None else [live[i] for i in pending]
         fracs, at = {"observed": lam, "missed": 1.0 - lam}, {x: g(x) for x in levels}
-        table, left = {}, dict(uses)
+        table, left = {}, Counter(key for i in pending for keys in rows[i] for key in keys)
 
         def factor(key):  # a table entry lives from the first use of its key to the last
             v, kind, k = key
@@ -236,10 +261,10 @@ def count_bounds_prob(params: LimitLawParams, cells: CountCells, bounds) -> np.n
             left[key] -= 1
             return table[key] if left[key] else table.pop(key)
 
-        for i in live:  # products and sums start from their first term
+        for i in pending:  # products and sums start from their first term
             yield reduce(add, (reduce(mul, map(factor, keys)) for keys in rows[i]))
 
-    out[live] = _mixed_poisson(params, integrand, (len(live),)) if live else []
+    out[live] = _mixed_poisson(params, integrand, levels, (len(live),)) if live else []
     return out
 
 
@@ -344,15 +369,23 @@ def finite_n_one_factor_prob(n: int, gamma: float, cells) -> float:
     if sum(no + nm for no, nm, _, _ in cells) > n:
         raise InvalidParameterError("total cell counts exceed the path length")
     powers = [(k, level) for no, nm, x, y in cells for k, level in ((no, x), (nm, y)) if k]
+    rho, t0, norming = gamma / math.log(n), -special.ndtri(1.0 / n), LevelParams.for_length(n)
 
     def integrand(lam, log_phi):
         # log Phi(+inf) = 0 starts the sum on the z nodes: no cells give 1
         return np.exp(sum((k * log_phi(level) for k, level in powers), log_phi(math.inf)))
 
+    def step(_, x):
+        # n (1 - Phi(t)) = 1 at t0, and falls by e every 1 / t0 past it
+        return ((norming.level(x) - math.sqrt(1.0 - rho) * t0) / math.sqrt(rho),
+                math.sqrt(1.0 - rho) / (t0 * math.sqrt(rho)))
+
     return _mixed_poisson(
         LimitLawParams(gamma, _UNIT_LAW),
         integrand,
+        [level for _, level in powers],
         per_level=lambda g, x, z: special.log_ndtr(transformed_level(n, x, z, g)),
+        step=step,
     )
 
 
@@ -386,7 +419,7 @@ def locations_heights_cdf(
     if shape:  # array locations broadcast over the (lambda, z) node axes
         s, t = np.expand_dims(s, (-2, -1)), np.expand_dims(t, (-2, -1))
 
-    def integrand(lam, g):
+    def integrand(lam, g, rows=None):  # every element; converge picks the pending rows
         frac = lam if pair == "obs_all" else 1.0 - lam
         gx = g(x)
         joint = np.exp(-(frac * gx + (1.0 - frac) * g(y)))
@@ -394,24 +427,4 @@ def locations_heights_cdf(
         race = frac * np.exp(-gx)
         return s * t * (joint - race) + np.minimum(s, t) * race
 
-    return _mixed_poisson(params, integrand, shape)
-
-
-def locations_cdf(lambda_law: LambdaLaw, pair: str, s: float, t: float) -> float:
-    """Marginal joint law of two scaled argmax locations.
-
-    Observed and missed locations are asymptotically independent uniforms;
-    the overall location coincides with the observed one exactly when the
-    observed class wins the maximum race, which happens with probability
-    E[lambda].
-    """
-    if not (0.0 < s <= 1.0 and 0.0 < t <= 1.0):
-        raise InvalidParameterError(f"scaled locations must lie in (0,1], got s={s}, t={t}")
-    mean = lambda_law.mean()
-    if pair == "obs_missed":
-        return _clip_prob(s * t)
-    if pair == "obs_all":
-        return _clip_prob(s * t * (1.0 - mean) + min(s, t) * mean)
-    if pair == "missed_all":
-        return _clip_prob(s * t * mean + min(s, t) * (1.0 - mean))
-    raise InvalidParameterError(f"unknown pair {pair!r}")
+    return _mixed_poisson(params, integrand, (x, y), shape)

@@ -9,6 +9,7 @@ laws against the Gumbel-race sampler.  Both are deterministic given
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,6 @@ from .lambdalaw import LambdaLaw
 from .limit_laws import (
     LimitLawParams,
     joint_counts_pmf_batch,
-    locations_cdf,
     locations_heights_cdf,
 )
 from .limit_oracle import sample_limit_counts, sample_limit_maxima_locations
@@ -114,7 +114,8 @@ MAXIMA_XY_GRID = (-0.5, 0.3, 1.2)
 def maxima_suite(
     samples: int = 1_000_000, seed: int = 0, sigma: float = 4.0
 ) -> list[CheckRow]:
-    """Locations-and-heights grid plus location-only laws for all pairs."""
+    """Locations-and-heights grid plus the location-only law (heights at
+    +inf) of every pair."""
     params = MAXIMA_PARAMS
     stream = substream(seed, 0, "oracle-maxima")
     batch = sample_limit_maxima_locations(params, stream, size=samples)
@@ -148,9 +149,11 @@ def maxima_suite(
         "missed_all": (batch.missed_loc, overall_loc),
     }
     for pair, (first, second) in pair_locs.items():
-        for s in MAXIMA_ST_GRID:
-            for t in MAXIMA_ST_GRID:
+        # the location-only law: heights at +inf drop their constraints
+        locations = locations_heights_cdf(params, pair, s_grid, t_grid, math.inf, math.inf)
+        for i, s in enumerate(MAXIMA_ST_GRID):
+            for j, t in enumerate(MAXIMA_ST_GRID):
                 hits = np.count_nonzero((first <= s) & (second <= t))
-                theory = locations_cdf(params.lambda_law, pair, s, t)
+                theory = float(locations[i, j])
                 rows.append(_check(f"locations[{pair}]({s},{t})", hits, theory, samples, sigma))
     return rows

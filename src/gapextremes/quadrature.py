@@ -2,16 +2,31 @@
 the standard-normal integral dPhi(z) over the latent factor, and the
 expectation over the observed-fraction law.
 
-Rules are cached per (law, node count).  Reported values go through
-``converge``: evaluate at ``DEFAULT_NODES``, double until two consecutive
-answers agree to ``CONVERGENCE_TOL``, and raise after ``MAX_NODES``.
-``converge`` works elementwise: an evaluation may return an array of
-independent integrals, each of which keeps the finer of its own first
-pair of answers within the tolerance, so a batch shares one rule per
-doubling and every element equals what it would converge to alone.
+Two z rules exist.  Without steps, ``rule_for`` gives Gauss-Hermite.
+Given steps, it gives the step-aligned rule that ``converge`` is handed
+by the limit laws: their integrands fall from 1 to 0 around a centre c
+over a width w per level, which Gauss-Hermite resolves badly.  It is
+composite Gauss-Legendre on [-Z_EDGE, Z_EDGE] (normal mass outside:
+1.5e-23) over ``PANELS`` uniform panels, cut again at c + j w for j in
+``STEP_OFFSETS`` and every step, with m / PANELS nodes per panel.  An
+empty tuple of steps means the integrand does not depend on z, and the
+rule has one z node.
+
+Rules for the fraction law and Gauss-Hermite rules are cached per node
+count.  Reported values go through ``converge``: evaluate at
+``DEFAULT_NODES``, double until two consecutive answers agree to
+``CONVERGENCE_TOL``, and raise after ``MAX_NODES``.  ``converge`` works
+elementwise: an evaluation may return an array of independent integrals,
+each of which keeps the finer of its own first pair of answers within the
+tolerance, so a batch shares one rule per doubling and every element
+equals what it would converge to alone.  Each finer rule carries the
+flat indices of the elements still pending in ``rows``, and
+``evaluate`` may return just those.
 """
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -27,32 +42,60 @@ DEFAULT_NODES = 64
 MAX_NODES = 512
 CONVERGENCE_TOL = 1e-10
 
+Z_EDGE = 10.0
+PANELS = 8
+#: breakpoints c + j w of a step: the fall to 0 is doubly exponential
+#: above c, the approach to 1 only exponential below it
+STEP_OFFSETS = range(-6, 4)
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
 
 @lru_cache(maxsize=None)
 def _phi_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     # Gauss-Hermite adapted to the standard-normal weight: z = sqrt(2) t,
     # weights normalized to sum to one (so integrating 1 is exact).
     t, w = special.roots_hermite(m)
-    z = np.sqrt(2.0) * t
-    w = w / w.sum()
-    z.setflags(write=False)
-    w.setflags(write=False)
-    return z, w
+    return _frozen(np.sqrt(2.0) * t, w / w.sum())
+
+
+@lru_cache(maxsize=None)
+def _legendre_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
+    # numpy's rule, as the uniform fraction law's: scipy's first root
+    # finder call costs a process about 50 ms
+    return _frozen(*np.polynomial.legendre.leggauss(k))
+
+
+def _stepped_nodes(m: int, steps: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """z nodes and normal weights of the step-aligned rule."""
+    if not steps:
+        return _frozen(np.zeros(1), np.ones(1))
+    cuts = np.linspace(-Z_EDGE, Z_EDGE, PANELS + 1).tolist()
+    cuts += [c + j * w for c, w in steps for j in STEP_OFFSETS]
+    cuts = np.unique(np.clip(cuts, -Z_EDGE, Z_EDGE))
+    t, wt = _legendre_nodes(m // PANELS)
+    half, mid = np.diff(cuts)[:, None] / 2.0, (cuts[1:] + cuts[:-1])[:, None] / 2.0
+    z = (mid + half * t).ravel()
+    w = (half * wt).ravel() * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return _frozen(z, w)
 
 
 @lru_cache(maxsize=None)
 def _lam_nodes(law: LambdaLaw, m: int) -> tuple[np.ndarray, np.ndarray]:
     lam, w = law.nodes(m)
-    lam = np.asarray(lam, dtype=float)
-    w = np.asarray(w, dtype=float)
-    lam.setflags(write=False)
-    w.setflags(write=False)
-    return lam, w
+    return _frozen(np.asarray(lam, dtype=float), np.asarray(w, dtype=float))
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Tensor rule: E over the fraction law in rows, dPhi(z) in columns."""
+    """Tensor rule: E over the fraction law in rows, dPhi(z) in columns.
+    ``steps`` is None for Gauss-Hermite in z, else the (centre, width)
+    steps the z nodes are aligned to; ``rows`` is None, or the flat
+    indices of the batch elements still pending under ``converge``."""
 
     n_z: int
     n_lambda: int
@@ -60,6 +103,8 @@ class QuadratureRule:
     z_weights: np.ndarray = field(repr=False, compare=False)
     lam: np.ndarray = field(repr=False, compare=False)
     lam_weights: np.ndarray = field(repr=False, compare=False)
+    steps: tuple | None = None
+    rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def lam_col(self) -> np.ndarray:
@@ -73,43 +118,65 @@ class QuadratureRule:
             return float(self.z_weights @ values)
         return float(self.lam_weights @ values @ self.z_weights)
 
+    def describe(self) -> str:
+        """The rule's nodes in its own terms, e.g. for error messages."""
+        if self.steps is None:
+            z = f"{self.z.size} Gauss-Hermite z nodes"
+        elif self.z.size == 1:
+            z = "1 z node"
+        else:
+            per_panel = self.n_z // PANELS
+            z = f"{self.z.size // per_panel} Gauss-Legendre z panels of {per_panel} nodes"
+        return f"{z} x {self.lam.size} fraction nodes"
+
 
 def rule_for(
-    law: LambdaLaw, n_z: int = DEFAULT_NODES, n_lambda: int = DEFAULT_NODES
+    law: LambdaLaw, n_z: int = DEFAULT_NODES, n_lambda: int = DEFAULT_NODES, steps=None
 ) -> QuadratureRule:
-    z, wz = _phi_nodes(n_z)
+    """The rule of ``n_z`` and ``n_lambda`` nodes: Gauss-Hermite in z
+    without ``steps``, else the step-aligned rule of those steps."""
+    z, wz = _phi_nodes(n_z) if steps is None else _stepped_nodes(n_z, steps)
     lam, wl = _lam_nodes(law, n_lambda)
     return QuadratureRule(
-        n_z=n_z, n_lambda=n_lambda, z=z, z_weights=wz, lam=lam, lam_weights=wl
+        n_z=n_z, n_lambda=n_lambda, z=z, z_weights=wz, lam=lam, lam_weights=wl, steps=steps
     )
 
 
-def converge(law: LambdaLaw, evaluate):
+def converge(law: LambdaLaw, evaluate, steps=None):
     """Evaluate ``evaluate(rule)`` under node doubling, from
-    ``DEFAULT_NODES`` up to ``MAX_NODES``, until stable.
+    ``DEFAULT_NODES`` up to ``MAX_NODES``, until stable; ``steps`` are
+    handed to ``rule_for``.
 
     Returns the finer of the first pair of answers within
     ``CONVERGENCE_TOL`` of each other.  When ``evaluate`` returns an
     array, that test runs per element: each element keeps its own first
     stable answer, doubling stops once every element has settled, and the
-    result is a float array of the same shape.  A scalar ``evaluate`` gives
-    a float.  Atomic fraction laws only ever escalate the z rule.
+    result is a float array of the same shape.  Every rule after the first
+    names the pending elements in ``rule.rows``, and ``evaluate`` may
+    return either every element or the flat array of just those.  A scalar
+    ``evaluate`` gives a float.  Atomic fraction laws only ever escalate
+    the z rule.
     """
     m = DEFAULT_NODES
-    previous = evaluate(rule_for(law, m, m))
-    result = np.array(previous, dtype=float)
-    pending = np.ones(result.shape, dtype=bool)
+    rule = rule_for(law, m, m, steps)
+    result = np.array(evaluate(rule), dtype=float)
+    flat = result.reshape(-1)  # a view: settling writes into result
+    previous = flat.copy()
+    rows = np.arange(flat.size)
     while m < MAX_NODES:
         m *= 2
-        current = np.asarray(evaluate(rule_for(law, m, m)), dtype=float)
-        settled = pending & (np.abs(current - previous) < CONVERGENCE_TOL)
-        result[settled] = current[settled]
-        pending &= ~settled
-        if not pending.any():
+        rule = dataclasses.replace(rule_for(law, m, m, steps), rows=rows)
+        current = np.asarray(evaluate(rule), dtype=float).reshape(-1)
+        if current.size == flat.size:  # every element, settled ones too
+            current = current[rows]
+        settled = np.abs(current - previous[rows]) < CONVERGENCE_TOL
+        flat[rows[settled]] = current[settled]
+        previous[rows] = current
+        rows = rows[~settled]
+        if not rows.size:
             return result if result.ndim else float(result)
-        previous = current
-    unsettled = f"{np.count_nonzero(pending)} of {pending.size} elements " if pending.ndim else ""
+    unsettled = f", {rows.size} of {flat.size} elements unsettled" if result.ndim else ""
     raise QuadratureConvergenceError(
-        f"integral did not stabilize to {CONVERGENCE_TOL:g} within {MAX_NODES} nodes "
-        f"({unsettled}unsettled at {m} nodes)"
+        f"integral did not stabilize to {CONVERGENCE_TOL:g} by the rule of "
+        f"{rule.describe()}{unsettled}"
     )

@@ -24,7 +24,7 @@ from gapextremes.limit_laws import (
     LimitLawParams,
     g_intensity,
     joint_maxima_cdf,
-    locations_cdf,
+    locations_heights_cdf,
     order_stats_vs_all_cdf,
 )
 from gapextremes.oracle_suite import counts_suite, maxima_suite
@@ -228,13 +228,15 @@ def test_criterion_7_special_case_reductions():
             worst_b = max(worst_b, abs(below - at))
     assert worst_b < 1e-10
 
-    # (c) overall-location laws: observed under E[lambda] equals missed
-    # under 1 - E[lambda], exactly for point laws
+    # (c) overall-location laws (heights at +inf): observed under
+    # E[lambda] equals missed under 1 - E[lambda], exactly for point laws
     for p in (0.0, 0.25, 0.6, 1.0):
         law = LambdaLaw.point(p)
         for s, t in [(0.3, 0.8), (0.9, 0.2), (0.5, 0.5)]:
-            assert locations_cdf(law, "obs_all", s, t) == locations_cdf(
-                law.complement(), "missed_all", s, t
+            assert locations_heights_cdf(
+                LimitLawParams(0.0, law), "obs_all", s, t, math.inf, math.inf
+            ) == locations_heights_cdf(
+                LimitLawParams(0.0, law.complement()), "missed_all", s, t, math.inf, math.inf
             )
     _report(
         "criterion 7",

@@ -369,3 +369,25 @@ def test_oracle_subcommand_small(tmp_path, capsys):
     assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"true"}
     stdout = capsys.readouterr().out
     assert "0 failed" in stdout
+
+
+def test_quadrature_failure_names_the_event(tmp_path, capsys, monkeypatch):
+    # with the node budget cut to the first rule nothing can settle
+    monkeypatch.setattr("gapextremes.quadrature.MAX_NODES", 64)
+    doc = copy.deepcopy(CONFIG)
+    doc["model"] = {"family": "one_factor", "n": 100000, "gamma": 8.0}
+    doc["targets"] = [
+        {"id": "os_obs", "terms": [{"type": "order_stat", "class": "observed", "k": 2, "x": -2.0}]},
+        {"id": "os_pair", "terms": [
+            {"type": "order_stat", "class": "observed", "k": 1, "x": -2.0},
+            {"type": "order_stat", "class": "missed", "k": 2, "x": -2.0},
+        ]},
+    ]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: event 'os_obs': integral did not stabilize to 1e-10 by the rule of ")
+    assert err.count("event ") == 1
+    assert "Gauss-Legendre z panels of 8 nodes x 1 fraction nodes, 1 of 1 elements unsettled" in err

@@ -233,9 +233,11 @@ def test_theory_locations():
     assert theory_limit(ev, PARAMS) == pytest.approx(0.21, abs=1e-12)
 
     ev = Event("l", (LocationTerm("observed", 0.3), LocationTerm("all", 0.7)))
-    assert theory_limit(ev, PARAMS) == pytest.approx(
-        limit_laws.locations_cdf(PARAMS.lambda_law, "obs_all", 0.3, 0.7), abs=1e-10
-    )
+    # the overall location is the observed one when the observed class
+    # wins the maximum race, with probability E[lambda]
+    mean = PARAMS.lambda_law.mean()
+    expected = 0.3 * 0.7 * (1 - mean) + 0.3 * mean
+    assert theory_limit(ev, PARAMS) == pytest.approx(expected, abs=1e-10)
 
     ev = Event("l", (LocationTerm("observed", 0.4),))
     assert theory_limit(ev, PARAMS) == pytest.approx(0.4, abs=1e-12)

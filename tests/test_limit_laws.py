@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,16 +6,17 @@ import numpy as np
 import pytest
 from scipy import special
 
+from gapextremes import limit_laws
 from gapextremes.errors import InvalidParameterError
 from gapextremes.lambdalaw import LambdaLaw
 from gapextremes.limit_laws import (
     LimitLawParams,
     finite_n_one_factor_prob,
     g_intensity,
+    g_step,
     joint_counts_pmf,
     joint_counts_pmf_batch,
     joint_maxima_cdf,
-    locations_cdf,
     locations_heights_cdf,
     order_stats_obs_missed_cdf,
     order_stats_vs_all_cdf,
@@ -413,7 +415,9 @@ def _pmf_one_cell_quadrature(params, measure, x, y, k1, k2, k3, k4):
             * pmf(mis_lo - mis_hi, (1.0 - lam) * measure * gap)
         )
 
-    return min(max(converge(params.lambda_law, evaluate), 0.0), 1.0)
+    # the batch's z rule: aligned to the step of each level
+    steps = () if params.gamma == 0.0 else tuple(g_step(params.gamma, v) for v in (lo, hi))
+    return min(max(converge(params.lambda_law, evaluate, steps=steps), 0.0), 1.0)
 
 
 @pytest.mark.parametrize("params", [POINT_HALF, MIXED, BETA_HALF])
@@ -423,6 +427,28 @@ def test_pmf_batch_matches_per_cell_quadrature_exactly(params):
         nested = [c for c in BATCH_CELLS if np.all(np.less_equal(c[above_x], c[above_y]))]
         batch = joint_counts_pmf_batch(params, 0.5, x, y, nested)
         assert batch.tolist() == [_pmf_one_cell_quadrature(params, 0.5, x, y, *c) for c in nested]
+
+
+@pytest.mark.parametrize("law", [LambdaLaw.uniform(0.0, 1.0), LambdaLaw.beta(2.0, 2.0)])
+def test_pmf_batch_pending_rows_equal_all_rows_exactly(law, monkeypatch):
+    # converge hands later rules only the unsettled rows; evaluating every
+    # row at every rule instead must give the same floats.  At levels this
+    # far apart some rows settle a doubling later than the rest.
+    params = LimitLawParams(4.0, law)
+    cells = [c for c in itertools.product(range(3), repeat=4) if c[0] <= c[2] and c[1] <= c[3]]
+    pending = joint_counts_pmf_batch(params, 1.0, 6.0, -6.0, cells)
+    sizes = []
+
+    def all_rows(law, evaluate, **kwargs):
+        def every(rule):
+            sizes.append(len(cells) if rule.rows is None else rule.rows.size)
+            return evaluate(dataclasses.replace(rule, rows=None))
+
+        return converge(law, every, **kwargs)
+
+    monkeypatch.setattr(limit_laws, "converge", all_rows)
+    assert joint_counts_pmf_batch(params, 1.0, 6.0, -6.0, cells).tolist() == pending.tolist()
+    assert sizes[0] == sizes[1] > sizes[2] > 0
 
 
 def test_pmf_batch_validation_and_empty():
@@ -516,21 +542,26 @@ def test_locations_heights_complement_symmetry():
     assert a == pytest.approx(b, abs=1e-11)
 
 
+def _locations_cdf(law, pair, s, t):
+    # the location-only law: heights at +inf drop their constraints
+    return locations_heights_cdf(LimitLawParams(0.0, law), pair, s, t, INF, INF)
+
+
 def test_locations_cdf_values():
-    assert locations_cdf(LambdaLaw.uniform(0, 1), "obs_missed", 0.3, 0.7) == pytest.approx(0.21)
+    assert _locations_cdf(LambdaLaw.uniform(0, 1), "obs_missed", 0.3, 0.7) == pytest.approx(0.21)
     # all observed: the overall location is the observed location
-    assert locations_cdf(LambdaLaw.point(1.0), "obs_all", 0.3, 0.7) == pytest.approx(0.3)
-    assert locations_cdf(LambdaLaw.point(0.0), "missed_all", 0.3, 0.7) == pytest.approx(0.3)
-    got = locations_cdf(LambdaLaw.beta(2, 3), "obs_all", 0.6, 0.2)
+    assert _locations_cdf(LambdaLaw.point(1.0), "obs_all", 0.3, 0.7) == pytest.approx(0.3)
+    assert _locations_cdf(LambdaLaw.point(0.0), "missed_all", 0.3, 0.7) == pytest.approx(0.3)
+    got = _locations_cdf(LambdaLaw.beta(2, 3), "obs_all", 0.6, 0.2)
     assert got == pytest.approx(0.6 * 0.2 * 0.6 + 0.2 * 0.4)
 
 
 def test_locations_cdf_symmetry_and_validation():
     law = LambdaLaw.beta(2.0, 5.0)
-    a = locations_cdf(law, "obs_all", 0.3, 0.8)
-    b = locations_cdf(law.complement(), "missed_all", 0.3, 0.8)
+    a = _locations_cdf(law, "obs_all", 0.3, 0.8)
+    b = _locations_cdf(law.complement(), "missed_all", 0.3, 0.8)
     assert a == pytest.approx(b, abs=1e-15)
     with pytest.raises(InvalidParameterError):
-        locations_cdf(law, "obs_missed", 0.0, 0.5)
+        _locations_cdf(law, "obs_missed", 0.0, 0.5)
     with pytest.raises(InvalidParameterError):
-        locations_cdf(law, "everything", 0.5, 0.5)
+        _locations_cdf(law, "everything", 0.5, 0.5)

@@ -111,3 +111,66 @@ def test_converge_one_unsettled_element_raises():
     with pytest.raises(QuadratureConvergenceError, match="1 of 2"):
         converge(LambdaLaw.point(0.5), evaluate)
     assert calls == [64, 128, 256, 512]
+
+
+def test_stepped_rule_cuts_panels_at_each_step():
+    # 8 uniform panels on [-10, 10] plus c + j w, j = -6..3: 18 panels
+    rule = rule_for(LambdaLaw.point(1.0), 64, 1, steps=((0.3, 0.2),))
+    assert rule.z.size == 18 * 8 and rule.steps == ((0.3, 0.2),)
+    assert abs(rule.z_weights.sum() - 1.0) < 1e-11
+    finer = rule_for(LambdaLaw.point(1.0), 128, 1, steps=((0.3, 0.2),))
+    assert finer.z.size == 18 * 16 and abs(finer.z_weights.sum() - 1.0) < 1e-15
+    # breakpoints outside [-10, 10] are clipped, and shared ones count once
+    rule = rule_for(LambdaLaw.point(1.0), 64, 1, steps=((20.0, 0.2), (0.0, 2.5)))
+    assert rule.z.size == 8 * 8
+
+
+def test_stepped_rule_without_steps_has_one_node():
+    rule = rule_for(LambdaLaw.uniform(0, 1), 128, 128, steps=())
+    assert rule.z.tolist() == [0.0] and rule.z_weights.tolist() == [1.0]
+    assert rule.lam.size == 128
+
+
+def test_converge_hands_later_rules_only_pending_rows():
+    # element 0 settles at 128 nodes, element 1 at 256, element 2 at 512
+    answers = {
+        64: [1.0, 2.0, 3.0],
+        128: [1.0, 2.5, 3.5],
+        256: [7.0, 2.5, 3.7],
+        512: [9.0, 8.0, 3.7],
+    }
+    seen = []
+
+    def evaluate(rule):
+        seen.append(None if rule.rows is None else rule.rows.tolist())
+        rows = range(3) if rule.rows is None else rule.rows
+        return np.array([answers[rule.n_z][i] for i in rows])
+
+    value = converge(LambdaLaw.point(0.5), evaluate)
+    assert value.tolist() == [1.0, 2.5, 3.7]
+    assert seen == [None, [0, 1, 2], [1, 2], [2]]
+
+
+def test_converge_rows_are_flat_indices_of_the_shape():
+    seen = []
+
+    def evaluate(rule):
+        seen.append(None if rule.rows is None else rule.rows.tolist())
+        if rule.rows is None:
+            return np.array([[0.0, 0.25], [0.5, 0.0]])
+        return np.array([[0.0, 0.25, 0.5, 1.0][i] for i in rule.rows])  # pending only
+
+    value = converge(LambdaLaw.point(0.5), evaluate)
+    assert value.shape == (2, 2) and value.tolist() == [[0.0, 0.25], [0.5, 1.0]]
+    assert seen == [None, [0, 1, 2, 3], [3]]
+
+
+def test_converge_passes_steps_to_every_rule():
+    seen = []
+
+    def evaluate(rule):
+        seen.append((rule.n_z, rule.steps, rule.z.size))
+        return float(len(seen) > 1)
+
+    converge(LambdaLaw.point(0.5), evaluate, steps=((0.3, 0.2),))
+    assert seen == [(64, ((0.3, 0.2),), 144), (128, ((0.3, 0.2),), 288), (256, ((0.3, 0.2),), 576)]
