@@ -5,9 +5,10 @@ replication: exceedance counts over interval families and scaled argmax
 locations.  An order statistic is an exceedance count: the k-th largest
 value of a class is at most u_n(x) exactly when fewer than k class values
 exceed u_n(x), so ``order_stat`` builds a count of at most k - 1 over
-the whole path.  Every count-only event, and argmax locations with k = 1
-heights, get a theory value; other events simulate fine but carry no
-theory columns.  The JSON form of an event is read by ``harness``.
+the whole path.  Every count-only event, and argmax locations of any
+classes with k = 1 heights on any class, get a theory value; other events
+simulate fine but carry no theory columns.  The JSON form of an event is
+read by ``harness``.
 
 For simulation, ``CompiledEvents`` reduces a replication to one
 *observable record*: a float vector with one column per distinct
@@ -175,19 +176,6 @@ def _split_terms(event: Event):
     return counts, locs
 
 
-def _path_bounds(count_terms) -> dict[str, tuple[int, float]] | None:
-    """class -> (k, x) when every term bounds a class count over the whole
-    path from above, count <= k - 1 at level x (the k-th class maximum is
-    at most u_n(x)), at most once per class; otherwise None."""
-    spec: dict[str, tuple[int, float]] = {}
-    for term in count_terms:
-        upper = term.op == "le" or term.value == 0
-        if not upper or term.family != IntervalFamily.unit() or term.which in spec:
-            return None
-        spec[term.which] = (term.value + 1, term.x)
-    return spec
-
-
 def theory_limit(event: Event, params: LimitLawParams) -> float | None:
     """Limiting probability of the event, or None when it has no closed
     form.  Events with argmax locations take the locations-and-heights
@@ -202,30 +190,13 @@ def theory_limit(event: Event, params: LimitLawParams) -> float | None:
 
 
 def _locations_theory(counts, locs, params: LimitLawParams) -> float | None:
-    """Argmax locations of at most two classes, with k = 1 heights on
-    located classes.  An absent location is 1 and an absent height +inf
-    (the dropped constraint); the pair is obs_missed unless 'all' is
-    located."""
-    loc = {t.which: t.s for t in locs}
-    bounds = _path_bounds(counts)
-    if (len(loc) != len(locs) or len(loc) == 3 or bounds is None
-            or any(k != 1 for k, _ in bounds.values()) or not set(bounds) <= set(loc)):
+    """Argmax locations, one per class, with heights: whole-path counts
+    of at most 0 (the class max is at most u_n(x)), one per class."""
+    s = {t.which: t.s for t in locs}
+    h = {t.which: t.x for t in counts if t.value == 0 and t.family == IntervalFamily.unit()}
+    if len(s) != len(locs) or len(h) != len(counts):
         return None
-    s = dict.fromkeys(CLASSES, 1.0) | loc
-    h = dict.fromkeys(CLASSES, math.inf) | {which: x for which, (_, x) in bounds.items()}
-    if "all" not in loc:
-        return limit_laws.locations_heights_cdf(
-            params, "obs_missed", s["observed"], s["missed"], h["observed"], h["missed"]
-        )
-    if len(loc) == 1 and h["all"] == math.inf:
-        return s["all"]
-    member = "missed" if "missed" in loc else "observed"
-    pair = "missed_all" if member == "missed" else "obs_all"
-    # the class max never exceeds the overall max, so its level can be
-    # tightened to min(x_class, x_all), after which x <= y always holds
-    return limit_laws.locations_heights_cdf(
-        params, pair, s[member], s["all"], min(h[member], h["all"]), h["all"]
-    )
+    return limit_laws.locations_heights_cdf(params, s, h)
 
 
 def theory_finite_n(event: Event, n: int, gamma: float, pattern: np.ndarray | None) -> float | None:

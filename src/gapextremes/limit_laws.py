@@ -25,11 +25,14 @@ those the same terms count merge into one variable.  ``count_bounds_prob``
 takes rows of per-term (lo, hi) bounds, sums over the pruned assignments
 of the shared variables, takes each term's private variable in closed
 form, and multiplies the factors in canonical order from per-rule tables.
-The order-statistic, joint-count and void evaluators wrap it.  The
-locations-and-heights law (the location-only law at +inf heights) and the
-exact finite-n identity of the one-factor model (log Phi of the
-factor-shifted level in place of g, under the unit fraction law, with its
-own steps) run on the same kernel.
+The order-statistic, joint-count and void evaluators wrap it.
+
+The locations-and-heights law of any located classes is a batch of two
+race terms, one per class that may carry the overall maximum; the
+location factors multiply them outside the kernel.  It and the exact
+finite-n identity of the one-factor model (log Phi of the factor-shifted
+level in place of g, under the unit fraction law, with its own steps) run
+on the same kernel.
 
 Level arguments accept +inf to drop the corresponding constraint.
 """
@@ -45,7 +48,7 @@ import numpy as np
 from scipy import special
 
 from .errors import InvalidParameterError
-from .extremes import LevelParams, transformed_level
+from .extremes import CLASSES, LevelParams, transformed_level
 from .lambdalaw import LambdaLaw
 from .quadrature import QuadratureRule, converge
 
@@ -106,10 +109,9 @@ def _poisson_pmf(k: int, mu: np.ndarray) -> np.ndarray:
 
 
 def _clip_prob(value):
-    """Clamp to [0, 1]; arrays elementwise by the same scalar rule."""
-    if np.ndim(value):
-        return np.reshape([_clip_prob(v) for v in np.ravel(value)], np.shape(value))
-    return min(max(value, 0.0), 1.0)
+    """Clamp to [0, 1] elementwise; a scalar comes back as a float."""
+    value = np.clip(value, 0.0, 1.0)
+    return value if value.ndim else float(value)
 
 
 def g_step(gamma: float, x: float) -> tuple[float, float]:
@@ -131,10 +133,8 @@ def _mixed_poisson(params: LimitLawParams, integrand, levels, shape: tuple = (),
     gamma = 0 or no level is finite.
 
     A nonempty ``shape`` makes it a batch: ``integrand(lam, g, rows)``
-    then gets the flat indices of the elements still pending (None for
-    all of them) and returns one value array per element, for every
-    element or for just those rows: as an array whose leading axes hold
-    the elements, or as an iterable.  The result is an array of that
+    then gets the flat indices of the elements still pending and yields
+    one value array for each of them.  The result is an array of that
     shape whose elements each converge on their own."""
     steps = () if params.gamma == 0.0 else tuple(
         step(params.gamma, x) for x in sorted(set(levels)) if math.isfinite(x))
@@ -145,13 +145,9 @@ def _mixed_poisson(params: LimitLawParams, integrand, levels, shape: tuple = (),
 
         if not shape:
             return rule.expect(integrand(rule.lam_col, g))
-        values = integrand(rule.lam_col, g, rule.rows)
-        if isinstance(values, np.ndarray):
-            values = values.reshape(-1, *values.shape[-2:])
-        return np.array([rule.expect(v) for v in values])
+        return [rule.expect(v) for v in integrand(rule.lam_col, g, rule.rows)]
 
-    value = converge(params.lambda_law, evaluate, steps=steps)
-    return _clip_prob(np.reshape(value, shape) if shape else value)
+    return _clip_prob(converge(params.lambda_law, evaluate, steps=steps, shape=shape))
 
 
 #: most search steps per row of bounds; an event needing more gets no value
@@ -248,7 +244,7 @@ def count_bounds_prob(params: LimitLawParams, cells: CountCells, bounds) -> np.n
               for *_, top, bottom in pieces for x in (top, bottom)}
 
     def integrand(lam, g, pending):
-        pending = live if pending is None else [live[i] for i in pending]
+        pending = [live[i] for i in pending]
         fracs, at = {"observed": lam, "missed": 1.0 - lam}, {x: g(x) for x in levels}
         table, left = {}, Counter(key for i in pending for keys in rows[i] for key in keys)
 
@@ -389,42 +385,40 @@ def finite_n_one_factor_prob(n: int, gamma: float, cells) -> float:
     )
 
 
-def locations_heights_cdf(
-    params: LimitLawParams, pair: str, s: float, t: float, x: float, y: float
-) -> float:
-    """Joint limit law of two scaled argmax locations and the two class
-    maxima heights.
+def locations_heights_cdf(params: LimitLawParams, s, h):
+    """Joint limit law of the scaled argmax locations and the maxima of
+    the classes: P(location <= s[c], max <= u_n(h[c]) for every class c).
 
-    ``pair`` selects which classes the (location <= s, location <= t,
-    height <= u_n(x), height <= u_n(y)) quadruple refers to:
-
-    * ``obs_missed`` — observed (s, x) and missed (t, y); any x, y.
-    * ``obs_all`` — observed (s, x) and overall (t, y); needs x <= y.
-    * ``missed_all`` — missed (s, x) and overall (t, y); needs x <= y.
-
-    ``s`` and ``t`` may be numpy arrays, broadcast together; the result is
-    then an array of their shape, from one height integral for all of them.
+    ``s`` and ``h`` map classes (observed, missed, all) to locations and
+    heights; an absent location is 1 and an absent height +inf.  Given
+    (lambda, xi) the locations are uniform and independent of the heights,
+    and the overall argmax is that of the class carrying the overall max.
+    The law splits on that class: with a = min(h_obs, h_all) and
+    b = min(h_miss, h_all) the observed class wins below the heights with
+    probability R_obs = lam e^{-g(min(a, b))} + [a > b] (e^{-lam g(a) -
+    (1 - lam) g(b)} - e^{-g(b)}), and R_miss is the same with the classes
+    swapped.  The locations then contribute min(s_obs, s_all) s_miss and
+    s_obs min(s_miss, s_all), outside the quadrature: locations may be
+    numpy arrays, broadcast together, from one height integral.
     """
-    if not np.all((0.0 < s) & (s <= 1.0) & (0.0 < t) & (t <= 1.0)):
-        raise InvalidParameterError(f"scaled locations must lie in (0,1], got s={s}, t={t}")
-    if pair not in ("obs_missed", "obs_all", "missed_all"):
-        raise InvalidParameterError(f"unknown pair {pair!r}")
+    if not set(s) | set(h) <= set(CLASSES):
+        raise InvalidParameterError(f"classes must be among {CLASSES}, got {set(s) | set(h)}")
+    s = dict.fromkeys(CLASSES, 1.0) | dict(s)
+    h = dict.fromkeys(CLASSES, math.inf) | dict(h)
+    if not all(np.all((0.0 < v) & (v <= 1.0)) for v in s.values()):
+        raise InvalidParameterError(f"scaled locations must lie in (0,1], got {s}")
+    tops = (min(h["observed"], h["all"]), min(h["missed"], h["all"]))
 
-    if pair == "obs_missed":
-        return _clip_prob(s * t * joint_maxima_cdf(params, x, y))
+    def integrand(lam, g, rows):
+        fracs = (lam, 1.0 - lam)
+        for row in rows:  # the race won by the observed (0) or the missed (1) class
+            own, other = tops[row], tops[1 - row]
+            race = fracs[row] * np.exp(-g(min(tops)))
+            if own > other:  # the winner may exceed the loser's height
+                joint = np.exp(-fracs[row] * g(own) - fracs[1 - row] * g(other))
+                race = race + joint - np.exp(-g(other))
+            yield race
 
-    if x > y:
-        raise InvalidParameterError(f"pair {pair} is defined for x <= y only, got x={x} > y={y}")
-    shape = np.broadcast_shapes(np.shape(s), np.shape(t))
-    if shape:  # array locations broadcast over the (lambda, z) node axes
-        s, t = np.expand_dims(s, (-2, -1)), np.expand_dims(t, (-2, -1))
-
-    def integrand(lam, g, rows=None):  # every element; converge picks the pending rows
-        frac = lam if pair == "obs_all" else 1.0 - lam
-        gx = g(x)
-        joint = np.exp(-(frac * gx + (1.0 - frac) * g(y)))
-        # P(the pair's class carries the overall max and it is <= u_n(x))
-        race = frac * np.exp(-gx)
-        return s * t * (joint - race) + np.minimum(s, t) * race
-
-    return _mixed_poisson(params, integrand, (x, y), shape)
+    won_obs, won_miss = _mixed_poisson(params, integrand, tops, (2,))
+    return _clip_prob(np.minimum(s["observed"], s["all"]) * s["missed"] * won_obs
+                      + s["observed"] * np.minimum(s["missed"], s["all"]) * won_miss)

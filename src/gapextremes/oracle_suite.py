@@ -9,7 +9,6 @@ laws against the Gumbel-race sampler.  Both are deterministic given
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,8 +113,8 @@ MAXIMA_XY_GRID = (-0.5, 0.3, 1.2)
 def maxima_suite(
     samples: int = 1_000_000, seed: int = 0, sigma: float = 4.0
 ) -> list[CheckRow]:
-    """Locations-and-heights grid plus the location-only law (heights at
-    +inf) of every pair."""
+    """Locations-and-heights grid of the two classes plus the location-only
+    law of every two of the three classes."""
     params = MAXIMA_PARAMS
     stream = substream(seed, 0, "oracle-maxima")
     batch = sample_limit_maxima_locations(params, stream, size=samples)
@@ -128,7 +127,8 @@ def maxima_suite(
     # one height integral per (x, y), shared by the whole (s, t) grid
     s_grid, t_grid = np.meshgrid(MAXIMA_ST_GRID, MAXIMA_ST_GRID, indexing="ij")
     heights = {
-        (x, y): locations_heights_cdf(params, "obs_missed", s_grid, t_grid, x, y)
+        (x, y): locations_heights_cdf(params, {"observed": s_grid, "missed": t_grid},
+                                      {"observed": x, "missed": y})
         for x in MAXIMA_XY_GRID
         for y in MAXIMA_XY_GRID
     }
@@ -142,18 +142,15 @@ def maxima_suite(
                         _check(f"heights({s},{t},{x},{y})", hits, theory, samples, sigma)
                     )
 
-    overall_loc = batch.overall_loc
-    pair_locs = {
-        "obs_missed": (batch.observed_loc, batch.missed_loc),
-        "obs_all": (batch.observed_loc, overall_loc),
-        "missed_all": (batch.missed_loc, overall_loc),
-    }
-    for pair, (first, second) in pair_locs.items():
-        # the location-only law: heights at +inf drop their constraints
-        locations = locations_heights_cdf(params, pair, s_grid, t_grid, math.inf, math.inf)
+    locs = {"observed": batch.observed_loc, "missed": batch.missed_loc, "all": batch.overall_loc}
+    pairs = {"obs_missed": ("observed", "missed"), "obs_all": ("observed", "all"),
+             "missed_all": ("missed", "all")}
+    for pair, (first, second) in pairs.items():
+        # the location-only law: no heights
+        locations = locations_heights_cdf(params, {first: s_grid, second: t_grid}, {})
         for i, s in enumerate(MAXIMA_ST_GRID):
             for j, t in enumerate(MAXIMA_ST_GRID):
-                hits = np.count_nonzero((first <= s) & (second <= t))
+                hits = np.count_nonzero((locs[first] <= s) & (locs[second] <= t))
                 theory = float(locations[i, j])
                 rows.append(_check(f"locations[{pair}]({s},{t})", hits, theory, samples, sigma))
     return rows

@@ -16,12 +16,11 @@ Rules for the fraction law and Gauss-Hermite rules are cached per node
 count.  Reported values go through ``converge``: evaluate at
 ``DEFAULT_NODES``, double until two consecutive answers agree to
 ``CONVERGENCE_TOL``, and raise after ``MAX_NODES``.  ``converge`` works
-elementwise: an evaluation may return an array of independent integrals,
-each of which keeps the finer of its own first pair of answers within the
-tolerance, so a batch shares one rule per doubling and every element
-equals what it would converge to alone.  Each finer rule carries the
-flat indices of the elements still pending in ``rows``, and
-``evaluate`` may return just those.
+elementwise on a batch of independent integrals: each keeps the finer of
+its own first pair of answers within the tolerance, so a batch shares one
+rule per doubling and every element equals what it would converge to
+alone.  Each rule carries the flat indices of the elements still pending
+in ``rows``, and the evaluation returns just those.
 """
 from __future__ import annotations
 
@@ -94,8 +93,9 @@ def _lam_nodes(law: LambdaLaw, m: int) -> tuple[np.ndarray, np.ndarray]:
 class QuadratureRule:
     """Tensor rule: E over the fraction law in rows, dPhi(z) in columns.
     ``steps`` is None for Gauss-Hermite in z, else the (centre, width)
-    steps the z nodes are aligned to; ``rows`` is None, or the flat
-    indices of the batch elements still pending under ``converge``."""
+    steps the z nodes are aligned to; ``rows`` holds the flat indices of
+    the batch elements still pending under ``converge`` (None on a rule
+    built outside it)."""
 
     n_z: int
     n_lambda: int
@@ -142,40 +142,35 @@ def rule_for(
     )
 
 
-def converge(law: LambdaLaw, evaluate, steps=None):
+def converge(law: LambdaLaw, evaluate, steps=None, shape: tuple = ()):
     """Evaluate ``evaluate(rule)`` under node doubling, from
     ``DEFAULT_NODES`` up to ``MAX_NODES``, until stable; ``steps`` are
     handed to ``rule_for``.
 
     Returns the finer of the first pair of answers within
-    ``CONVERGENCE_TOL`` of each other.  When ``evaluate`` returns an
-    array, that test runs per element: each element keeps its own first
-    stable answer, doubling stops once every element has settled, and the
-    result is a float array of the same shape.  Every rule after the first
-    names the pending elements in ``rule.rows``, and ``evaluate`` may
-    return either every element or the flat array of just those.  A scalar
-    ``evaluate`` gives a float.  Atomic fraction laws only ever escalate
-    the z rule.
+    ``CONVERGENCE_TOL`` of each other.  A nonempty ``shape`` makes it a
+    batch of that many independent integrals: that test runs per element,
+    each element keeps its own first stable answer, doubling stops once
+    every element has settled, and the result is a float array of that
+    shape.  Every rule names the pending elements by their flat indices in
+    ``rule.rows`` (all of them on the first rule), and ``evaluate`` returns
+    the values of just those.  A scalar ``evaluate`` gives a float.
+    Atomic fraction laws only ever escalate the z rule.
     """
+    rows = np.arange(math.prod(shape))
+    previous, result = np.full(rows.size, np.nan), np.empty(rows.size)
     m = DEFAULT_NODES
-    rule = rule_for(law, m, m, steps)
-    result = np.array(evaluate(rule), dtype=float)
-    flat = result.reshape(-1)  # a view: settling writes into result
-    previous = flat.copy()
-    rows = np.arange(flat.size)
-    while m < MAX_NODES:
-        m *= 2
+    while m <= MAX_NODES:
         rule = dataclasses.replace(rule_for(law, m, m, steps), rows=rows)
-        current = np.asarray(evaluate(rule), dtype=float).reshape(-1)
-        if current.size == flat.size:  # every element, settled ones too
-            current = current[rows]
-        settled = np.abs(current - previous[rows]) < CONVERGENCE_TOL
-        flat[rows[settled]] = current[settled]
+        current = np.asarray(evaluate(rule), dtype=float).reshape(rows.size)
+        settled = np.abs(current - previous[rows]) < CONVERGENCE_TOL  # none on the first rule
+        result[rows[settled]] = current[settled]
         previous[rows] = current
         rows = rows[~settled]
         if not rows.size:
-            return result if result.ndim else float(result)
-    unsettled = f", {rows.size} of {flat.size} elements unsettled" if result.ndim else ""
+            return result.reshape(shape) if shape else float(result[0])
+        m *= 2
+    unsettled = f", {rows.size} of {result.size} elements unsettled" if shape else ""
     raise QuadratureConvergenceError(
         f"integral did not stabilize to {CONVERGENCE_TOL:g} by the rule of "
         f"{rule.describe()}{unsettled}"

@@ -26,6 +26,7 @@ from gapextremes.harness import parse_config, parse_event
 from gapextremes.lambdalaw import LambdaLaw
 from gapextremes.limit_laws import LimitLawParams
 from gapextremes.missingness import MissingnessModel, fixed_pattern
+from pairs import pair_cdf
 from reference import assert_within_sigma, count_event_hits
 
 PARAMS = LimitLawParams(0.5, LambdaLaw.beta(2.0, 2.0))
@@ -244,6 +245,7 @@ def test_theory_locations():
 
     ev = Event("l", (LocationTerm("all", 0.4),))
     assert theory_limit(ev, PARAMS) == pytest.approx(0.4, abs=1e-12)
+    assert type(theory_limit(ev, PARAMS)) is float
 
 
 def test_theory_locations_with_heights():
@@ -256,7 +258,7 @@ def test_theory_locations_with_heights():
             order_stat("missed", 1, 0.5),
         ),
     )
-    expected = limit_laws.locations_heights_cdf(PARAMS, "obs_missed", 0.3, 0.7, 0.0, 0.5)
+    expected = pair_cdf(PARAMS, "obs_missed", 0.3, 0.7, 0.0, 0.5)
     assert theory_limit(ev, PARAMS) == pytest.approx(expected, abs=1e-15)
 
     # overall pair where the class level exceeds the overall level: the class
@@ -270,7 +272,7 @@ def test_theory_locations_with_heights():
             order_stat("all", 1, 0.2),
         ),
     )
-    expected = limit_laws.locations_heights_cdf(PARAMS, "obs_all", 0.3, 0.7, 0.2, 0.2)
+    expected = pair_cdf(PARAMS, "obs_all", 0.3, 0.7, 0.2, 0.2)
     assert theory_limit(ev, PARAMS) == pytest.approx(expected, abs=1e-15)
 
 
@@ -395,9 +397,11 @@ def _loc_event(*terms):
                     order_stat("missed", 1, -0.1), order_stat("all", 1, 0.2)),
          ("missed_all", 0.3, 0.7, -0.1, 0.2)),
         (_loc_event(LocationTerm("observed", 0.3), LocationTerm("missed", 0.7),
-                    LocationTerm("all", 0.5)), None),
+                    LocationTerm("all", 0.5)),
+         ({"observed": 0.3, "missed": 0.7, "all": 0.5}, {})),
         (_loc_event(LocationTerm("observed", 0.3), LocationTerm("observed", 0.7)), None),
-        (_loc_event(LocationTerm("observed", 0.3), order_stat("missed", 1, 0.0)), None),
+        (_loc_event(LocationTerm("observed", 0.3), order_stat("missed", 1, 0.0)),
+         ({"observed": 0.3}, {"missed": 0.0})),
     ],
     ids=["observed", "observed-height", "missed", "missed-height", "all", "all-height-inf",
          "all-height-neg-inf", "all-height",
@@ -408,8 +412,10 @@ def test_theory_locations_dispatch(event, expected):
     got = theory_limit(event, PARAMS)
     if expected is None or isinstance(expected, float):
         assert got == expected
-    else:
+    elif isinstance(expected[0], dict):  # per-class locations and heights
         assert got == limit_laws.locations_heights_cdf(PARAMS, *expected)
+    else:
+        assert got == pair_cdf(PARAMS, *expected)
 
 
 # ---------------------------------------------------------------------------

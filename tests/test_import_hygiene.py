@@ -7,6 +7,10 @@ imports are the package's re-exports.
 
 No package module imports an underscore name from another package
 module: a name two modules share is not private.
+
+Every name a module lists in ``__all__`` is defined there, and every name
+``__init__.py`` imports from a package module is defined in it: a
+deletion can leave a stale export behind.
 """
 import ast
 import pathlib
@@ -47,3 +51,43 @@ def test_no_private_import_across_modules(path):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _defined_names(tree: ast.Module):
+    """Names bound at the top level of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from _imported_names(ast.Module(body=[node], type_ignores=[]))
+
+
+def _tree(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_are_defined(path):
+    tree = _tree(path)
+    exported = [
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    ]
+    assert sorted(set(exported) - set(_defined_names(tree))) == []
+
+
+def test_init_imports_resolve():
+    missing = [
+        f"{node.module}.{alias.name}"
+        for node in _tree(PACKAGE / "__init__.py").body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in set(_defined_names(_tree(PACKAGE / f"{node.module}.py")))
+    ]
+    assert missing == []

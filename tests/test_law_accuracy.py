@@ -21,6 +21,7 @@ from gapextremes.limit_laws import (
     locations_heights_cdf,
     void_probability_intervals,
 )
+from pairs import pair_cdf
 
 TOL = 1e-9
 GAMMAS = (0.0, 0.5, 2.0, 4.0, 8.0, 11.0)
@@ -127,8 +128,43 @@ def test_locations_obs_all_matches_quad(gamma):
                 race = _mean(ref) * math.exp(-gx)
                 return s * t * (_mix(ref, gx, gy) - race) + min(s, t) * race
 
-            got = locations_heights_cdf(params, "obs_all", s, t, x, y)
+            got = pair_cdf(params, "obs_all", s, t, x, y)
             errors.append(abs(got - _expect_z(fn, _limit_steps(gamma, x, y))))
+    assert all(e < TOL for e in errors), max(errors)  # a NaN fails too
+
+
+#: (locations, heights) per class: the observed class wins above the
+#: missed height (a > b, missed unlocated), the missed class wins above the
+#: observed height (b > a, observed unlocated), three located classes
+CLASS_CASES = (
+    ({"observed": 0.4, "all": 0.75}, {"observed": 1.0, "missed": -0.2, "all": 1.5}),
+    ({"missed": 0.6, "all": 0.3}, {"observed": -0.4, "missed": 0.9}),
+    ({"observed": 0.3, "missed": 0.7, "all": 0.5}, {"missed": 0.4, "all": 0.8}),
+)
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_locations_of_classes_match_quad(gamma):
+    errors = []
+    for law, ref in LAWS:
+        params = LimitLawParams(gamma, law)
+        for locs, heights in CLASS_CASES:
+            loc = {c: locs.get(c, 1.0) for c in ("observed", "missed", "all")}
+            for shift in XS[::2]:
+                h = {c: heights.get(c, math.inf) + shift for c in ("observed", "missed", "all")}
+                a, b = min(h["observed"], h["all"]), min(h["missed"], h["all"])
+
+                def fn(z):
+                    ga, gb, gc = (_g(gamma, v, z) for v in (a, b, min(a, b)))
+                    joint = _mix(ref, ga, gb)
+                    p = _mean(ref)
+                    obs = p * math.exp(-gc) + (joint - math.exp(-gb) if a > b else 0.0)
+                    miss = (1.0 - p) * math.exp(-gc) + (joint - math.exp(-ga) if b > a else 0.0)
+                    return (min(loc["observed"], loc["all"]) * loc["missed"] * obs
+                            + loc["observed"] * min(loc["missed"], loc["all"]) * miss)
+
+                got = locations_heights_cdf(params, locs, {c: h[c] for c in heights})
+                errors.append(abs(got - _expect_z(fn, _limit_steps(gamma, *{a, b} - {math.inf}))))
     assert all(e < TOL for e in errors), max(errors)  # a NaN fails too
 
 

@@ -23,6 +23,7 @@ from gapextremes.limit_laws import (
     void_probability_intervals,
 )
 from gapextremes.quadrature import converge
+from pairs import pair_cdf
 
 INF = math.inf
 
@@ -441,8 +442,9 @@ def test_pmf_batch_pending_rows_equal_all_rows_exactly(law, monkeypatch):
 
     def all_rows(law, evaluate, **kwargs):
         def every(rule):
-            sizes.append(len(cells) if rule.rows is None else rule.rows.size)
-            return evaluate(dataclasses.replace(rule, rows=None))
+            sizes.append(rule.rows.size)
+            every_row = dataclasses.replace(rule, rows=np.arange(len(cells)))
+            return np.asarray(evaluate(every_row))[rule.rows]
 
         return converge(law, every, **kwargs)
 
@@ -467,12 +469,12 @@ def test_locations_heights_array_locations_equal_scalar_calls(pair):
     grid = (0.25, 0.5, 1.0)
     s, t = np.meshgrid(grid, grid, indexing="ij")
     for params in (POINT_HALF, BETA_HALF):
-        got = locations_heights_cdf(params, pair, s, t, -0.3, 0.4)
+        got = pair_cdf(params, pair, s, t, -0.3, 0.4)
         assert got.shape == (3, 3)
         for i, j in itertools.product(range(3), repeat=2):
-            assert got[i, j] == locations_heights_cdf(params, pair, grid[i], grid[j], -0.3, 0.4)
+            assert got[i, j] == pair_cdf(params, pair, grid[i], grid[j], -0.3, 0.4)
     with pytest.raises(InvalidParameterError):
-        locations_heights_cdf(POINT_HALF, pair, s, t * 2.0, -0.3, 0.4)
+        pair_cdf(POINT_HALF, pair, s, t * 2.0, -0.3, 0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -480,23 +482,23 @@ def test_locations_heights_array_locations_equal_scalar_calls(pair):
 
 
 def test_locations_heights_product_form():
-    got = locations_heights_cdf(POINT_HALF, "obs_missed", 0.5, 0.5, 0.0, 0.0)
+    got = pair_cdf(POINT_HALF, "obs_missed", 0.5, 0.5, 0.0, 0.0)
     assert got == pytest.approx(0.25 * math.exp(-1.0), abs=1e-12)
 
 
 def test_locations_heights_st_one_reduction():
     for params in (POINT_HALF, MIXED):
-        got = locations_heights_cdf(params, "obs_missed", 1.0, 1.0, 0.3, -0.2)
+        got = pair_cdf(params, "obs_missed", 1.0, 1.0, 0.3, -0.2)
         assert got == pytest.approx(joint_maxima_cdf(params, 0.3, -0.2), abs=1e-12)
 
 
-def test_locations_heights_domain_error():
-    with pytest.raises(InvalidParameterError):
-        locations_heights_cdf(MIXED, "obs_all", 0.5, 0.5, 0.6, 0.1)
-    with pytest.raises(InvalidParameterError):
-        locations_heights_cdf(MIXED, "missed_all", 0.5, 0.5, 0.6, 0.1)
+def test_locations_heights_class_level_above_overall():
+    # the class max never exceeds the overall max: a class level above the
+    # overall one is slack, so x > y is the law at (y, y)
+    for pair in ("obs_all", "missed_all"):
+        assert pair_cdf(MIXED, pair, 0.5, 0.5, 0.6, 0.1) == pair_cdf(MIXED, pair, 0.5, 0.5, 0.1, 0.1)
     # obs_missed has no level restriction
-    locations_heights_cdf(MIXED, "obs_missed", 0.5, 0.5, 0.6, 0.1)
+    pair_cdf(MIXED, "obs_missed", 0.5, 0.5, 0.6, 0.1)
 
 
 def test_locations_heights_split_identity():
@@ -505,10 +507,10 @@ def test_locations_heights_split_identity():
     for params in (MIXED, BETA_HALF):
         for x in (-0.5, 0.4):
             joint = joint_maxima_cdf(params, x, x)
-            assert locations_heights_cdf(params, "obs_all", 1.0, 1.0, x, x) == pytest.approx(
+            assert pair_cdf(params, "obs_all", 1.0, 1.0, x, x) == pytest.approx(
                 joint, abs=1e-10
             )
-            assert locations_heights_cdf(params, "missed_all", 1.0, 1.0, x, x) == pytest.approx(
+            assert pair_cdf(params, "missed_all", 1.0, 1.0, x, x) == pytest.approx(
                 joint, abs=1e-10
             )
 
@@ -529,14 +531,14 @@ def test_locations_heights_obs_all_strong_dependence():
     parts = (integrate.quad(integrand, -math.inf, step, epsabs=1e-14)[0]
              + integrate.quad(integrand, step, math.inf, epsabs=1e-14)[0])
     expected = parts / math.sqrt(2.0 * math.pi)
-    got = locations_heights_cdf(LimitLawParams(gamma, LambdaLaw.point(0.5)), "obs_all", s, t, x, y)
+    got = pair_cdf(LimitLawParams(gamma, LambdaLaw.point(0.5)), "obs_all", s, t, x, y)
     assert got == pytest.approx(expected, abs=1e-10)
 
 
 def test_locations_heights_complement_symmetry():
     base = LambdaLaw.beta(2.0, 5.0)
-    a = locations_heights_cdf(LimitLawParams(0.5, base), "missed_all", 0.3, 0.8, 0.0, 0.5)
-    b = locations_heights_cdf(
+    a = pair_cdf(LimitLawParams(0.5, base), "missed_all", 0.3, 0.8, 0.0, 0.5)
+    b = pair_cdf(
         LimitLawParams(0.5, base.complement()), "obs_all", 0.3, 0.8, 0.0, 0.5
     )
     assert a == pytest.approx(b, abs=1e-11)
@@ -544,7 +546,7 @@ def test_locations_heights_complement_symmetry():
 
 def _locations_cdf(law, pair, s, t):
     # the location-only law: heights at +inf drop their constraints
-    return locations_heights_cdf(LimitLawParams(0.0, law), pair, s, t, INF, INF)
+    return pair_cdf(LimitLawParams(0.0, law), pair, s, t, INF, INF)
 
 
 def test_locations_cdf_values():
@@ -564,4 +566,4 @@ def test_locations_cdf_symmetry_and_validation():
     with pytest.raises(InvalidParameterError):
         _locations_cdf(law, "obs_missed", 0.0, 0.5)
     with pytest.raises(InvalidParameterError):
-        _locations_cdf(law, "everything", 0.5, 0.5)
+        locations_heights_cdf(LimitLawParams(0.0, law), {"everything": 0.5}, {})

@@ -20,6 +20,7 @@ from gapextremes.limit_oracle import (
 )
 from gapextremes.quadrature import rule_for
 from gapextremes.streams import substream
+from pairs import pair_cdf
 
 
 def _z(emp, theory, n):
@@ -157,15 +158,41 @@ def test_maxima_locations_equivalence():
 
     emp = float(np.mean((m.observed_loc <= s) & (m.missed_loc <= t)
                         & (m.observed_max <= x) & (m.missed_max <= y)))
-    assert abs(_z(emp, locations_heights_cdf(params, "obs_missed", s, t, x, y), n)) < 4.0
+    assert abs(_z(emp, pair_cdf(params, "obs_missed", s, t, x, y), n)) < 4.0
 
     emp = float(np.mean((m.observed_loc <= s) & (m.overall_loc <= t)
                         & (m.observed_max <= x) & (m.overall_max <= y)))
-    assert abs(_z(emp, locations_heights_cdf(params, "obs_all", s, t, x, y), n)) < 4.0
+    assert abs(_z(emp, pair_cdf(params, "obs_all", s, t, x, y), n)) < 4.0
 
     emp = float(np.mean((m.missed_loc <= s) & (m.overall_loc <= t)
                         & (m.missed_max <= x) & (m.overall_max <= y)))
-    assert abs(_z(emp, locations_heights_cdf(params, "missed_all", s, t, x, y), n)) < 4.0
+    assert abs(_z(emp, pair_cdf(params, "missed_all", s, t, x, y), n)) < 4.0
+
+
+@pytest.mark.parametrize(
+    "locs, heights",
+    [
+        ({"observed": 0.4, "all": 0.75}, {"observed": 1.0, "missed": -0.2, "all": 1.5}),
+        ({"missed": 0.6, "all": 0.3}, {"observed": -0.4, "missed": 0.9}),
+        ({"observed": 0.3, "missed": 0.7, "all": 0.5}, {"missed": 0.4, "all": 0.8}),
+    ],
+    ids=["observed-wins-above", "missed-wins-above", "three-classes"],
+)
+def test_maxima_locations_of_classes(locs, heights):
+    # the observed class may win above the (unlocated) missed height, the
+    # missed class above the (unlocated) observed height, and every class
+    # may be located
+    params = LimitLawParams(0.5, LambdaLaw.beta(2, 3))
+    n = 400_000
+    m = sample_limit_maxima_locations(params, substream(20, 0, "t"), size=n)
+    loc = {"observed": m.observed_loc, "missed": m.missed_loc, "all": m.overall_loc}
+    top = {"observed": m.observed_max, "missed": m.missed_max, "all": m.overall_max}
+    hits = np.ones(n, dtype=bool)
+    for which, s in locs.items():
+        hits &= loc[which] <= s
+    for which, x in heights.items():
+        hits &= top[which] <= x
+    assert abs(_z(float(hits.mean()), locations_heights_cdf(params, locs, heights), n)) < 4.0
 
 
 def test_maxima_race_probability():

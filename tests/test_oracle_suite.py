@@ -1,6 +1,6 @@
 import re
 
-from gapextremes.limit_laws import LimitLawParams, joint_counts_pmf, locations_heights_cdf
+from gapextremes.limit_laws import LimitLawParams, joint_counts_pmf
 from gapextremes.oracle_suite import (
     COUNT_LEVELS,
     COUNT_SETTINGS,
@@ -8,6 +8,7 @@ from gapextremes.oracle_suite import (
     counts_suite,
     maxima_suite,
 )
+from pairs import pair_cdf
 
 
 def test_counts_suite_theory_equals_scalar_pmf_exactly():
@@ -32,4 +33,4 @@ def test_maxima_suite_heights_equal_scalar_calls_exactly():
     for row in rows:
         s, t, x, y = map(float, re.fullmatch(r"heights\((.*)\)", row.check_id).group(1).split(","))
         assert type(row.theory) is float
-        assert row.theory == locations_heights_cdf(MAXIMA_PARAMS, "obs_missed", s, t, x, y)
+        assert row.theory == pair_cdf(MAXIMA_PARAMS, "obs_missed", s, t, x, y)

@@ -73,9 +73,9 @@ def test_converge_elementwise_keeps_each_first_stable_value():
 
     def evaluate(rule):
         seen.append(rule.n_z)
-        return np.array(answers[rule.n_z])
+        return np.array(answers[rule.n_z])[rule.rows]
 
-    value = converge(LambdaLaw.point(0.5), evaluate)
+    value = converge(LambdaLaw.point(0.5), evaluate, shape=(3,))
     assert isinstance(value, np.ndarray) and value.dtype == float
     assert value.tolist() == [1.0, 2.5, 3.7]
     assert seen == [64, 128, 256, 512]
@@ -86,9 +86,9 @@ def test_converge_elementwise_stops_once_all_settled():
 
     def evaluate(rule):
         seen.append(rule.n_z)
-        return np.array([[0.5, 0.25]]) if rule.n_z > 64 else np.array([[0.0, 0.25]])
+        return np.array([0.5, 0.25] if rule.n_z > 64 else [0.0, 0.25])[rule.rows]
 
-    value = converge(LambdaLaw.uniform(0, 1), evaluate)
+    value = converge(LambdaLaw.uniform(0, 1), evaluate, shape=(1, 2))
     assert value.shape == (1, 2) and value.tolist() == [[0.5, 0.25]]
     assert seen == [64, 128, 256]
 
@@ -106,10 +106,10 @@ def test_converge_one_unsettled_element_raises():
 
     def evaluate(rule):
         calls.append(rule.n_z)
-        return np.array([1.0, float(len(calls))])
+        return np.array([1.0, float(len(calls))])[rule.rows]
 
     with pytest.raises(QuadratureConvergenceError, match="1 of 2"):
-        converge(LambdaLaw.point(0.5), evaluate)
+        converge(LambdaLaw.point(0.5), evaluate, shape=(2,))
     assert calls == [64, 128, 256, 512]
 
 
@@ -142,27 +142,25 @@ def test_converge_hands_later_rules_only_pending_rows():
     seen = []
 
     def evaluate(rule):
-        seen.append(None if rule.rows is None else rule.rows.tolist())
-        rows = range(3) if rule.rows is None else rule.rows
-        return np.array([answers[rule.n_z][i] for i in rows])
+        seen.append(rule.rows.tolist())
+        return np.array([answers[rule.n_z][i] for i in rule.rows])
 
-    value = converge(LambdaLaw.point(0.5), evaluate)
+    value = converge(LambdaLaw.point(0.5), evaluate, shape=(3,))
     assert value.tolist() == [1.0, 2.5, 3.7]
-    assert seen == [None, [0, 1, 2], [1, 2], [2]]
+    assert seen == [[0, 1, 2], [0, 1, 2], [1, 2], [2]]
 
 
 def test_converge_rows_are_flat_indices_of_the_shape():
     seen = []
 
     def evaluate(rule):
-        seen.append(None if rule.rows is None else rule.rows.tolist())
-        if rule.rows is None:
-            return np.array([[0.0, 0.25], [0.5, 0.0]])
-        return np.array([[0.0, 0.25, 0.5, 1.0][i] for i in rule.rows])  # pending only
+        seen.append(rule.rows.tolist())
+        answers = [0.0, 0.25, 0.5, 0.0] if len(seen) == 1 else [0.0, 0.25, 0.5, 1.0]
+        return np.array([answers[i] for i in rule.rows])
 
-    value = converge(LambdaLaw.point(0.5), evaluate)
+    value = converge(LambdaLaw.point(0.5), evaluate, shape=(2, 2))
     assert value.shape == (2, 2) and value.tolist() == [[0.0, 0.25], [0.5, 1.0]]
-    assert seen == [None, [0, 1, 2, 3], [3]]
+    assert seen == [[0, 1, 2, 3], [0, 1, 2, 3], [3]]
 
 
 def test_converge_passes_steps_to_every_rule():
@@ -174,3 +172,11 @@ def test_converge_passes_steps_to_every_rule():
 
     converge(LambdaLaw.point(0.5), evaluate, steps=((0.3, 0.2),))
     assert seen == [(64, ((0.3, 0.2),), 144), (128, ((0.3, 0.2),), 288), (256, ((0.3, 0.2),), 576)]
+
+
+def test_converge_rejects_a_return_of_other_rows():
+    # a batch evaluation returns just the pending rows, a scalar one value
+    with pytest.raises(ValueError):
+        converge(LambdaLaw.point(0.5), lambda rule: np.zeros(3), shape=(2,))
+    with pytest.raises(ValueError):
+        converge(LambdaLaw.point(0.5), lambda rule: np.zeros(2))
