@@ -19,22 +19,8 @@ from .errors import (
     NonEmbeddableCovarianceError,
     QuadratureConvergenceError,
 )
-from .extremes import (
-    IntervalFamily,
-    LevelParams,
-    exceedance_counts,
-    kth_maximum,
-    level,
-    max_location,
-    transformed_level,
-)
-from .gaussian import (
-    CovarianceSpec,
-    GaussianModel,
-    build_model,
-    model_correlation,
-    sample_path,
-)
+from .extremes import IntervalFamily, LevelParams, transformed_level
+from .gaussian import CovarianceSpec, GaussianModel, build_model, sample_path
 from .lambdalaw import LambdaLaw
 from .limit_laws import (
     LimitLawParams,
@@ -48,12 +34,7 @@ from .limit_laws import (
     order_stats_vs_all_cdf,
     void_probability_intervals,
 )
-from .limit_oracle import (
-    LimitSample,
-    sample_cell_counts,
-    sample_limit_counts,
-    sample_limit_maxima_locations,
-)
+from .limit_oracle import LimitSample, sample_limit_counts, sample_limit_maxima_locations
 from .missingness import MissingnessModel, sample_indicators
 from .harness import (
     ComparisonReport,

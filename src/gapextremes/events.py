@@ -15,9 +15,9 @@ For simulation, ``CompiledEvents`` reduces a replication to one
 observable the events mention, of two kinds: a class exceedance count
 over a family at a level, and a class argmax location.  Every term is a
 bound on one column, so an event is a conjunction of interval checks on
-the record, whichever sampler produced it.  ``extremes`` computes the
-same observables one at a time and is the reference the record is tested
-against.
+the record, whichever sampler produced it.  ``tests/reference.py``
+computes the same observables one at a time and is the reference the
+record is tested against.
 """
 from __future__ import annotations
 

@@ -1,16 +1,13 @@
-"""Observables of a (path, indicators) pair.
+"""Levels and interval families of a length-n path.
 
 The normalizing levels are the classical Gumbel linearization
 u_n(x) = x / a_n + b_n with a_n = sqrt(2 ln n) and
 b_n = a_n - (ln ln n + ln 4pi) / (2 a_n), which makes
 n * (1 - Phi(u_n(x))) -> exp(-x).
 
-Every function takes the path as an array of n values and the indicators
-as an array of n 0/1 or boolean entries, and returns plain numbers.
-Counts, order statistics and argmax locations are split into three
-classes: ``observed`` (eps_j = 1), ``missed`` (eps_j = 0) and ``all``.
-Missing members of a class are represented as -inf order statistics and
-absent (None) locations.
+Observables are split into three classes: ``observed`` (eps_j = 1),
+``missed`` (eps_j = 0) and ``all``.  An interval family picks the indices
+of a path that fall in a union of subintervals of (0, 1].
 """
 from __future__ import annotations
 
@@ -21,17 +18,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-__all__ = [
-    "CLASSES",
-    "LevelParams",
-    "IntervalFamily",
-    "ExceedanceRecord",
-    "level",
-    "transformed_level",
-    "exceedance_counts",
-    "kth_maximum",
-    "max_location",
-]
+__all__ = ["CLASSES", "LevelParams", "IntervalFamily", "transformed_level"]
 
 CLASSES = ("observed", "missed", "all")
 
@@ -54,12 +41,8 @@ class LevelParams:
         return cls(n=n, a_n=a, b_n=b)
 
     def level(self, x: float) -> float:
+        """u_n(x) = x / a_n + b_n.  Accepts +-inf and maps them through."""
         return x / self.a_n + self.b_n
-
-
-def level(n: int, x: float) -> float:
-    """u_n(x) = x / a_n + b_n.  Accepts +-inf and maps them through."""
-    return LevelParams.for_length(n).level(x)
 
 
 def transformed_level(n: int, x: float, z, gamma: float):
@@ -126,83 +109,3 @@ class IntervalFamily:
         for lo, hi in self.index_ranges(n):
             mask[lo:hi] = True
         return mask
-
-
-@dataclass(frozen=True)
-class ExceedanceRecord:
-    """Joint exceedance counts, shaped (len(levels), len(families))."""
-
-    levels: tuple[float, ...]
-    families: tuple[IntervalFamily, ...]
-    observed: np.ndarray
-    missed: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.observed + self.missed
-
-
-def _class_mask(eps_bool: np.ndarray, which: str) -> np.ndarray | None:
-    if which == "observed":
-        return eps_bool
-    if which == "missed":
-        return ~eps_bool
-    if which == "all":
-        return None
-    raise InvalidParameterError(f"unknown class {which!r}; expected one of {CLASSES}")
-
-
-def exceedance_counts(path, eps, levels, families) -> ExceedanceRecord:
-    """Observed/missed exceedance counts for every (level, family) pair.
-
-    ``levels`` are x-arguments, converted internally through u_n.
-    """
-    values = np.asarray(path, dtype=float)
-    eps_bool = np.asarray(eps, dtype=bool)
-    n = len(values)
-    if len(eps_bool) != n:
-        raise InvalidParameterError(
-            f"path and indicators disagree in length: {n} vs {len(eps_bool)}"
-        )
-    levels = tuple(float(x) for x in levels)
-    families = tuple(families)
-    lp = LevelParams.for_length(n)
-
-    obs = np.zeros((len(levels), len(families)), dtype=np.int64)
-    mis = np.zeros_like(obs)
-    for i, x in enumerate(levels):
-        exceed = values > lp.level(x)
-        hit_obs = exceed & eps_bool
-        hit_mis = exceed & ~eps_bool
-        for j, fam in enumerate(families):
-            for lo, hi in fam.index_ranges(n):
-                obs[i, j] += int(hit_obs[lo:hi].sum())
-                mis[i, j] += int(hit_mis[lo:hi].sum())
-    return ExceedanceRecord(levels=levels, families=families, observed=obs, missed=mis)
-
-
-def kth_maximum(path, eps, which: str, k: int) -> float:
-    """k-th largest value of a class, -inf when the class has fewer than
-    k members."""
-    if k < 1:
-        raise InvalidParameterError(f"need k >= 1, got {k}")
-    values = np.asarray(path, dtype=float)
-    mask = _class_mask(np.asarray(eps, dtype=bool), which)
-    cls_values = values if mask is None else values[mask]
-    size = len(cls_values)
-    if size < k:
-        return float("-inf")
-    return float(np.partition(cls_values, size - k)[size - k])
-
-
-def max_location(path, eps, which: str) -> int | None:
-    """Smallest 1-based index attaining the class maximum; None if the
-    class is empty."""
-    values = np.asarray(path, dtype=float)
-    mask = _class_mask(np.asarray(eps, dtype=bool), which)
-    if mask is None:
-        return int(np.argmax(values)) + 1
-    if not mask.any():
-        return None
-    masked = np.where(mask, values, -np.inf)
-    return int(np.argmax(masked)) + 1

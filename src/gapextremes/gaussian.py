@@ -34,7 +34,6 @@ __all__ = [
     "GaussianModel",
     "build_model",
     "sample_path",
-    "model_correlation",
 ]
 
 FAMILIES = ("iid", "one_factor", "log_decay")
@@ -180,16 +179,3 @@ def sample_path(model: GaussianModel, stream: np.random.Generator) -> np.ndarray
     y = np.fft.fft(noise)
     return np.stack((y.real[:n], y.imag[:n]))
 
-
-def model_correlation(model: GaussianModel, k: int) -> float:
-    """Exact model covariance at lag ``k`` (unit variance at lag 0)."""
-    k = int(k)
-    if not 0 <= k < model.n:
-        raise InvalidParameterError(f"lag must satisfy 0 <= k < n={model.n}, got {k}")
-    if k == 0:
-        return 1.0
-    if model.spec.family == "iid":
-        return 0.0
-    if model.spec.family == "one_factor":
-        return model.rho_n
-    return float(_log_decay_correlation(model.spec.gamma, model.spec.shift, k))

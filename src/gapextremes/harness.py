@@ -50,7 +50,6 @@ __all__ = [
     "ComparisonReport",
     "parse_config",
     "parse_event",
-    "config_hash",
     "compare_estimates",
     "run_experiment",
     "evaluate_theory",
@@ -313,12 +312,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         report_name=_string(doc.get("report_name", "report"), "config: report_name"),
         out_dir=_string(doc.get("out_dir", "reports"), "config: out_dir"),
     )
-
-
-def config_hash(doc: dict) -> str:
-    """Hash of the experiment identity of a configuration document (see
-    ``ExperimentConfig.hash``)."""
-    return parse_config(doc).hash()
 
 
 # ---------------------------------------------------------------------------

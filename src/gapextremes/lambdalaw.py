@@ -125,19 +125,6 @@ class LambdaLaw:
         x, w = special.roots_jacobi(n, beta - 1.0, alpha - 1.0)
         return 0.5 * (x + 1.0), w / w.sum()
 
-    def complement(self) -> "LambdaLaw":
-        """Law of 1 - X when X follows this law."""
-        if self.kind == "point":
-            return LambdaLaw.point(1.0 - self.params[0])
-        if self.kind == "discrete":
-            values, weights = self.params
-            return LambdaLaw.discrete([1.0 - v for v in values], weights)
-        if self.kind == "uniform":
-            a, b = self.params
-            return LambdaLaw.uniform(1.0 - b, 1.0 - a)
-        alpha, beta = self.params
-        return LambdaLaw.beta(beta, alpha)
-
     def describe(self) -> str:
         """Short human/CSV-friendly rendering, e.g. ``point(0.5)``."""
         if self.kind == "point":

@@ -10,7 +10,9 @@ cross-check.
 Counts across levels are coupled by binomial thinning: raising the level
 from x to x' keeps each point independently with probability
 g(x', z) / g(x, z) = exp(-(x' - x)), a constant, so the nested-count
-structure of the limit holds pathwise by construction.
+structure of the limit holds pathwise by construction.  Count events over
+several interval families are sampled, as points of the limiting
+processes, by ``count_event_hits`` in ``tests/reference.py``.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from .limit_laws import LimitLawParams, g_intensity
 __all__ = [
     "LimitSample",
     "sample_limit_counts",
-    "sample_cell_counts",
     "sample_limit_maxima_locations",
 ]
 
@@ -38,7 +39,6 @@ class LimitSample:
 
     lam: np.ndarray
     xi: np.ndarray
-    levels: tuple[float, ...] | None = None
     observed: np.ndarray | None = None
     missed: np.ndarray | None = None
     observed_max: np.ndarray | None = None
@@ -92,32 +92,7 @@ def sample_limit_counts(
         observed[i] = stream.binomial(observed[i - 1], keep)
         missed[i] = stream.binomial(missed[i - 1], keep)
     assert (np.diff(observed, axis=0) <= 0).all() and (np.diff(missed, axis=0) <= 0).all()
-    return LimitSample(lam=lam, xi=xi, levels=levels, observed=observed, missed=missed)
-
-
-def sample_cell_counts(
-    params: LimitLawParams,
-    cells,
-    stream: np.random.Generator,
-    size: int = 1,
-) -> tuple[np.ndarray, np.ndarray, LimitSample]:
-    """Observed/missed counts over several disjoint families, each with
-    its own pair of levels: cells of (measure, x, y).
-
-    Given (lambda, xi) the cells are independent.  Returns
-    (observed (n_cells, size), missed (n_cells, size), latents).
-    """
-    cells = [(float(w), float(x), float(y)) for w, x, y in cells]
-    if not cells or any(w <= 0.0 for w, _, _ in cells):
-        raise InvalidParameterError("cells must be nonempty with positive measures")
-    lam, xi = _draw_latents(params, stream, size)
-    observed = np.empty((len(cells), size), dtype=np.int64)
-    missed = np.empty_like(observed)
-    for i, (w, x, y) in enumerate(cells):
-        observed[i] = stream.poisson(lam * w * g_intensity(params.gamma, x, xi))
-        missed[i] = stream.poisson((1.0 - lam) * w * g_intensity(params.gamma, y, xi))
-    latents = LimitSample(lam=lam, xi=xi)
-    return observed, missed, latents
+    return LimitSample(lam=lam, xi=xi, observed=observed, missed=missed)
 
 
 def sample_limit_maxima_locations(

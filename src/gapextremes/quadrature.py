@@ -2,25 +2,23 @@
 the standard-normal integral dPhi(z) over the latent factor, and the
 expectation over the observed-fraction law.
 
-Two z rules exist.  Without steps, ``rule_for`` gives Gauss-Hermite.
-Given steps, it gives the step-aligned rule that ``converge`` is handed
-by the limit laws: their integrands fall from 1 to 0 around a centre c
-over a width w per level, which Gauss-Hermite resolves badly.  It is
-composite Gauss-Legendre on [-Z_EDGE, Z_EDGE] (normal mass outside:
-1.5e-23) over ``PANELS`` uniform panels, cut again at c + j w for j in
-``STEP_OFFSETS`` and every step, with m / PANELS nodes per panel.  An
-empty tuple of steps means the integrand does not depend on z, and the
-rule has one z node.
+The z rule is aligned to the steps of the integrand: the limit laws'
+integrands fall from 1 to 0 around a centre c over a width w per level.
+It is composite Gauss-Legendre on [-Z_EDGE, Z_EDGE] (normal mass
+outside: 1.5e-23) over ``PANELS`` uniform panels, cut again at c + j w
+for j in ``STEP_OFFSETS`` and every step, with m / PANELS nodes per
+panel.  An empty tuple of steps means the integrand does not depend on
+z, and the rule has one z node.
 
-Rules for the fraction law and Gauss-Hermite rules are cached per node
-count.  Reported values go through ``converge``: evaluate at
-``DEFAULT_NODES``, double until two consecutive answers agree to
-``CONVERGENCE_TOL``, and raise after ``MAX_NODES``.  ``converge`` works
-elementwise on a batch of independent integrals: each keeps the finer of
-its own first pair of answers within the tolerance, so a batch shares one
-rule per doubling and every element equals what it would converge to
-alone.  Each rule carries the flat indices of the elements still pending
-in ``rows``, and the evaluation returns just those.
+Legendre nodes and fraction-law rules are cached per node count.
+Reported values go through ``converge``: evaluate at ``DEFAULT_NODES``,
+double until two consecutive answers agree to ``CONVERGENCE_TOL``, and
+raise after ``MAX_NODES``.  ``converge`` works elementwise on a batch of
+independent integrals: each keeps the finer of its own first pair of
+answers within the tolerance, so a batch shares one rule per doubling
+and every element equals what it would converge to alone.  Each rule
+carries the flat indices of the elements still pending in ``rows``, and
+the evaluation returns just those.
 """
 from __future__ import annotations
 
@@ -30,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import QuadratureConvergenceError
 from .lambdalaw import LambdaLaw
@@ -52,14 +49,6 @@ def _frozen(*arrays):
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-@lru_cache(maxsize=None)
-def _phi_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss-Hermite adapted to the standard-normal weight: z = sqrt(2) t,
-    # weights normalized to sum to one (so integrating 1 is exact).
-    t, w = special.roots_hermite(m)
-    return _frozen(np.sqrt(2.0) * t, w / w.sum())
 
 
 @lru_cache(maxsize=None)
@@ -92,10 +81,9 @@ def _lam_nodes(law: LambdaLaw, m: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class QuadratureRule:
     """Tensor rule: E over the fraction law in rows, dPhi(z) in columns.
-    ``steps`` is None for Gauss-Hermite in z, else the (centre, width)
-    steps the z nodes are aligned to; ``rows`` holds the flat indices of
-    the batch elements still pending under ``converge`` (None on a rule
-    built outside it)."""
+    ``steps`` are the (centre, width) steps the z nodes are aligned to;
+    ``rows`` holds the flat indices of the batch elements still pending
+    under ``converge`` (None on a rule built outside it)."""
 
     n_z: int
     n_lambda: int
@@ -103,7 +91,7 @@ class QuadratureRule:
     z_weights: np.ndarray = field(repr=False, compare=False)
     lam: np.ndarray = field(repr=False, compare=False)
     lam_weights: np.ndarray = field(repr=False, compare=False)
-    steps: tuple | None = None
+    steps: tuple
     rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -120,9 +108,7 @@ class QuadratureRule:
 
     def describe(self) -> str:
         """The rule's nodes in its own terms, e.g. for error messages."""
-        if self.steps is None:
-            z = f"{self.z.size} Gauss-Hermite z nodes"
-        elif self.z.size == 1:
+        if self.z.size == 1:
             z = "1 z node"
         else:
             per_panel = self.n_z // PANELS
@@ -130,19 +116,17 @@ class QuadratureRule:
         return f"{z} x {self.lam.size} fraction nodes"
 
 
-def rule_for(
-    law: LambdaLaw, n_z: int = DEFAULT_NODES, n_lambda: int = DEFAULT_NODES, steps=None
-) -> QuadratureRule:
-    """The rule of ``n_z`` and ``n_lambda`` nodes: Gauss-Hermite in z
-    without ``steps``, else the step-aligned rule of those steps."""
-    z, wz = _phi_nodes(n_z) if steps is None else _stepped_nodes(n_z, steps)
+def rule_for(law: LambdaLaw, n_z: int, n_lambda: int, steps: tuple) -> QuadratureRule:
+    """The z rule aligned to ``steps``, with ``n_z / PANELS`` nodes per
+    panel, times the fraction rule of ``n_lambda`` nodes."""
+    z, wz = _stepped_nodes(n_z, steps)
     lam, wl = _lam_nodes(law, n_lambda)
     return QuadratureRule(
         n_z=n_z, n_lambda=n_lambda, z=z, z_weights=wz, lam=lam, lam_weights=wl, steps=steps
     )
 
 
-def converge(law: LambdaLaw, evaluate, steps=None, shape: tuple = ()):
+def converge(law: LambdaLaw, evaluate, steps: tuple, shape: tuple = ()):
     """Evaluate ``evaluate(rule)`` under node doubling, from
     ``DEFAULT_NODES`` up to ``MAX_NODES``, until stable; ``steps`` are
     handed to ``rule_for``.

@@ -1,5 +1,14 @@
 """Independent references for the tests, sharing no code with the package's
-evaluators.
+evaluators and samplers.
+
+``exceedance_counts``, ``kth_maximum`` and ``max_location`` compute the
+observables of one (path, indicators) pair one at a time, as plain numbers:
+the reference the observable record of ``events.CompiledEvents`` is tested
+against.  They take the path as an array of n values and the indicators as
+an array of n 0/1 or boolean entries; a class with too few members has -inf
+order statistics and an absent (None) location.  ``model_correlation`` is
+the exact lag correlation of a Gaussian model and ``complement`` the law of
+1 - lambda.
 
 ``count_event_hits`` samples the limiting exceedance point processes
 themselves.  Given the observed fraction lambda and the factor xi, the
@@ -13,8 +22,95 @@ of its class inside its intervals above its level; no atoms, bands or
 merged variables are formed.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
+
+from gapextremes.errors import InvalidParameterError
+from gapextremes.extremes import CLASSES, IntervalFamily, LevelParams
+from gapextremes.gaussian import GaussianModel
+from gapextremes.lambdalaw import LambdaLaw
+
+
+@dataclass(frozen=True)
+class ExceedanceRecord:
+    """Joint exceedance counts, shaped (len(levels), len(families))."""
+
+    levels: tuple[float, ...]
+    families: tuple[IntervalFamily, ...]
+    observed: np.ndarray
+    missed: np.ndarray
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.observed + self.missed
+
+
+def _class_mask(eps_bool: np.ndarray, which: str) -> np.ndarray | None:
+    if which == "observed":
+        return eps_bool
+    if which == "missed":
+        return ~eps_bool
+    if which == "all":
+        return None
+    raise InvalidParameterError(f"unknown class {which!r}; expected one of {CLASSES}")
+
+
+def exceedance_counts(path, eps, levels, families) -> ExceedanceRecord:
+    """Observed/missed exceedance counts for every (level, family) pair.
+
+    ``levels`` are x-arguments, converted internally through u_n.
+    """
+    values = np.asarray(path, dtype=float)
+    eps_bool = np.asarray(eps, dtype=bool)
+    n = len(values)
+    if len(eps_bool) != n:
+        raise InvalidParameterError(
+            f"path and indicators disagree in length: {n} vs {len(eps_bool)}"
+        )
+    levels = tuple(float(x) for x in levels)
+    families = tuple(families)
+    lp = LevelParams.for_length(n)
+
+    obs = np.zeros((len(levels), len(families)), dtype=np.int64)
+    mis = np.zeros_like(obs)
+    for i, x in enumerate(levels):
+        exceed = values > lp.level(x)
+        hit_obs = exceed & eps_bool
+        hit_mis = exceed & ~eps_bool
+        for j, fam in enumerate(families):
+            for lo, hi in fam.index_ranges(n):
+                obs[i, j] += int(hit_obs[lo:hi].sum())
+                mis[i, j] += int(hit_mis[lo:hi].sum())
+    return ExceedanceRecord(levels=levels, families=families, observed=obs, missed=mis)
+
+
+def kth_maximum(path, eps, which: str, k: int) -> float:
+    """k-th largest value of a class, -inf when the class has fewer than
+    k members."""
+    if k < 1:
+        raise InvalidParameterError(f"need k >= 1, got {k}")
+    values = np.asarray(path, dtype=float)
+    mask = _class_mask(np.asarray(eps, dtype=bool), which)
+    cls_values = values if mask is None else values[mask]
+    size = len(cls_values)
+    if size < k:
+        return float("-inf")
+    return float(np.partition(cls_values, size - k)[size - k])
+
+
+def max_location(path, eps, which: str) -> int | None:
+    """Smallest 1-based index attaining the class maximum; None if the
+    class is empty."""
+    values = np.asarray(path, dtype=float)
+    mask = _class_mask(np.asarray(eps, dtype=bool), which)
+    if mask is None:
+        return int(np.argmax(values)) + 1
+    if not mask.any():
+        return None
+    masked = np.where(mask, values, -np.inf)
+    return int(np.argmax(masked)) + 1
 
 
 def count_event_hits(terms, gamma, sample_lambda, reps, seed):
@@ -52,3 +148,38 @@ def assert_within_sigma(p_hat, theory, reps, sigma=4.0):
     """|p_hat - theory| within ``sigma`` binomial standard errors of theory."""
     se = math.sqrt(theory * (1.0 - theory) / reps)
     assert abs(p_hat - theory) <= sigma * se, (p_hat, theory, se)
+
+
+def normal_hermite_rule(m):
+    """Gauss-Hermite nodes and weights of m points for the standard-normal
+    weight: z = sqrt(2) t, weights normalized to sum to one."""
+    t, w = special.roots_hermite(m)
+    return math.sqrt(2.0) * t, w / w.sum()
+
+
+def model_correlation(model: GaussianModel, k: int) -> float:
+    """Exact model covariance at lag ``k`` (unit variance at lag 0)."""
+    k = int(k)
+    if not 0 <= k < model.n:
+        raise InvalidParameterError(f"lag must satisfy 0 <= k < n={model.n}, got {k}")
+    if k == 0:
+        return 1.0
+    if model.spec.family == "iid":
+        return 0.0
+    if model.spec.family == "one_factor":
+        return model.rho_n
+    return model.spec.gamma / math.log(k + model.spec.shift)
+
+
+def complement(law: LambdaLaw) -> LambdaLaw:
+    """Law of 1 - X when X follows ``law``."""
+    if law.kind == "point":
+        return LambdaLaw.point(1.0 - law.params[0])
+    if law.kind == "discrete":
+        values, weights = law.params
+        return LambdaLaw.discrete([1.0 - v for v in values], weights)
+    if law.kind == "uniform":
+        a, b = law.params
+        return LambdaLaw.uniform(1.0 - b, 1.0 - a)
+    alpha, beta = law.params
+    return LambdaLaw.beta(beta, alpha)

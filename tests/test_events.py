@@ -15,19 +15,19 @@ from gapextremes.events import (
     theory_finite_n,
     theory_limit,
 )
-from gapextremes.extremes import (
-    IntervalFamily,
-    LevelParams,
-    exceedance_counts,
-    kth_maximum,
-    max_location,
-)
+from gapextremes.extremes import IntervalFamily, LevelParams
 from gapextremes.harness import parse_config, parse_event
 from gapextremes.lambdalaw import LambdaLaw
 from gapextremes.limit_laws import LimitLawParams
 from gapextremes.missingness import MissingnessModel, fixed_pattern
 from pairs import pair_cdf
-from reference import assert_within_sigma, count_event_hits
+from reference import (
+    assert_within_sigma,
+    count_event_hits,
+    exceedance_counts,
+    kth_maximum,
+    max_location,
+)
 
 PARAMS = LimitLawParams(0.5, LambdaLaw.beta(2.0, 2.0))
 INF = math.inf

@@ -8,16 +8,8 @@ from hypothesis import strategies as st
 
 from gapextremes.errors import InvalidParameterError
 from gapextremes.events import CompiledEvents, CountTerm, Event, LocationTerm, order_stat
-from gapextremes.extremes import (
-    CLASSES,
-    IntervalFamily,
-    LevelParams,
-    exceedance_counts,
-    kth_maximum,
-    level,
-    max_location,
-    transformed_level,
-)
+from gapextremes.extremes import CLASSES, IntervalFamily, LevelParams, transformed_level
+from reference import exceedance_counts, kth_maximum, max_location
 
 # frozen from 40-digit evaluation of the definitions at n = 100
 B_100 = 2.3662547929063940
@@ -26,20 +18,21 @@ RHO_100 = 0.21714724095162591
 
 
 def test_level_frozen_values():
-    assert level(100, 0.0) == pytest.approx(B_100, abs=1e-6)
-    assert level(100, 1.0) - level(100, 0.0) == pytest.approx(INV_A_100, abs=1e-6)
     lp = LevelParams.for_length(100)
+    assert lp.level(0.0) == pytest.approx(B_100, abs=1e-6)
+    assert lp.level(1.0) - lp.level(0.0) == pytest.approx(INV_A_100, abs=1e-6)
     assert lp.level(0.0) == lp.b_n
 
 
 def test_level_needs_n_at_least_3():
     with pytest.raises(InvalidParameterError):
-        level(2, 0.0)
+        LevelParams.for_length(2)
 
 
 def test_transformed_level_gamma_zero_is_identity():
+    lp = LevelParams.for_length(50)
     for x, z in [(0.0, 0.0), (1.5, -2.0), (-0.7, 3.0)]:
-        assert transformed_level(50, x, z, 0.0) == pytest.approx(level(50, x), abs=1e-14)
+        assert transformed_level(50, x, z, 0.0) == pytest.approx(lp.level(x), abs=1e-14)
 
 
 def test_transformed_level_frozen_value():
@@ -205,7 +198,7 @@ def test_order_statistic_count_duality(case, k, x, which):
     # k-th max <= u_n(x) iff the class count over (0,1] is <= k-1
     values, eps = case
     n = len(values)
-    u = level(n, x)
+    u = LevelParams.for_length(n).level(x)
     kth = kth_maximum(values, eps, which, k)
     rec = exceedance_counts(values, eps, [x], [IntervalFamily.unit()])
     count = {"observed": rec.observed, "missed": rec.missed, "all": rec.total}[which][0, 0]

@@ -6,12 +6,8 @@ import pytest
 from scipy import stats
 
 from gapextremes.errors import InvalidParameterError, NonEmbeddableCovarianceError
-from gapextremes.gaussian import (
-    CovarianceSpec,
-    build_model,
-    model_correlation,
-    sample_path,
-)
+from gapextremes.gaussian import CovarianceSpec, build_model, sample_path
+from reference import model_correlation
 
 RHO_100_GAMMA1 = 0.21714724095162591  # 1 / ln 100, high-precision
 

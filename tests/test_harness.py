@@ -12,7 +12,6 @@ from gapextremes.harness import (
     ComparisonReport,
     ReportRow,
     compare_estimates,
-    config_hash,
     estimate_from_count,
     evaluate_theory,
     parse_config,
@@ -103,34 +102,33 @@ def test_parse_config_rejects_bad_model_parameters():
 
 
 def test_config_hash_sensitivity():
-    a = config_hash(_config())
-    b = config_hash(_config(master_seed=778))
+    a = parse_config(_config()).hash()
+    b = parse_config(_config(master_seed=778)).hash()
     assert a != b
-    assert a == config_hash(_config())
+    assert a == parse_config(_config()).hash()
 
 
 def test_config_hash_normalizes_numbers():
     doc = _config()
     doc["model"]["gamma"] = 1
-    assert config_hash(doc) == config_hash(_config())
+    assert parse_config(doc).hash() == parse_config(_config()).hash()
     doc["reps"] = 3000.0
     doc["sigma"] = 5
-    assert config_hash(doc) == config_hash(_config())
+    assert parse_config(doc).hash() == parse_config(_config()).hash()
     # integral floats in the other integer fields are accepted alike
     doc["model"]["n"] = 300.0
     doc["master_seed"] = 777.0
     doc["workers"] = 1.0
     doc["targets"][0]["terms"][0]["k"] = 1.0
-    assert config_hash(doc) == config_hash(_config())
+    assert parse_config(doc).hash() == parse_config(_config()).hash()
 
 
 def test_config_hash_ignores_execution_only_keys():
-    base = config_hash(_config())
-    assert config_hash(_config(out_dir="elsewhere")) == base
-    assert config_hash(_config(workers=3, report_name="other")) == base
-    assert config_hash(_config(master_seed=778)) != base
-    assert config_hash(_config(sigma=4.5)) != base
+    base = parse_config(_config()).hash()
     assert parse_config(_config(out_dir="elsewhere")).hash() == base
+    assert parse_config(_config(workers=3, report_name="other")).hash() == base
+    assert parse_config(_config(master_seed=778)).hash() != base
+    assert parse_config(_config(sigma=4.5)).hash() != base
 
 
 # ---------------------------------------------------------------------------

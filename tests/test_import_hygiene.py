@@ -11,13 +11,23 @@ module: a name two modules share is not private.
 Every name a module lists in ``__all__`` is defined there, and every name
 ``__init__.py`` imports from a package module is defined in it: a
 deletion can leave a stale export behind.
+
+Every top-level function and class of a package module is reached from
+the program or the benchmark: some package module (``__init__.py`` aside)
+or ``perfbench`` script names it, reads it as an attribute, imports it, or
+holds it as a dotted component of a string (the tracer's targets).  Its
+own definition and its module's ``__all__`` do not count, so code that
+only tests use belongs in ``tests/``.
 """
 import ast
+import functools
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "gapextremes"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gapextremes"
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 FILES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in FILES if p.name != "__init__.py"]
 
@@ -91,3 +101,30 @@ def test_init_imports_resolve():
         if alias.name not in set(_defined_names(_tree(PACKAGE / f"{node.module}.py")))
     ]
     assert missing == []
+
+
+@functools.cache
+def _reached_names() -> frozenset:
+    """Names the package modules and the benchmark scripts refer to."""
+    names = set()
+    for path in [*MODULES, *PERFBENCH]:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            elif path in PERFBENCH and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(node.value.split("."))
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_is_reached(path):
+    defined = [
+        node.name
+        for node in _tree(path).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    assert sorted(set(defined) - _reached_names()) == []

@@ -7,20 +7,19 @@ from scipy import stats
 from gapextremes.lambdalaw import LambdaLaw
 from gapextremes.limit_laws import (
     LimitLawParams,
+    g_intensity,
+    g_step,
     joint_counts_pmf,
     locations_heights_cdf,
     order_stats_obs_missed_cdf,
     order_stats_vs_all_cdf,
     void_probability_intervals,
 )
-from gapextremes.limit_oracle import (
-    sample_cell_counts,
-    sample_limit_counts,
-    sample_limit_maxima_locations,
-)
+from gapextremes.limit_oracle import sample_limit_counts, sample_limit_maxima_locations
 from gapextremes.quadrature import rule_for
 from gapextremes.streams import substream
 from pairs import pair_cdf
+from reference import count_event_hits
 
 
 def _z(emp, theory, n):
@@ -96,9 +95,14 @@ def test_vs_all_equivalence_via_counts():
 def test_void_equivalence():
     params = LimitLawParams(1.0, LambdaLaw.uniform(0, 1))
     cells = [(0.3, 0.0, 1.0), (0.4, -1.0, 2.0)]
+    # the cells as void terms on adjacent intervals of their measures
+    terms = [
+        (which, [interval], level, "eq", 0)
+        for interval, (_, x, y) in zip([(0.0, 0.3), (0.3, 0.7)], cells)
+        for which, level in (("observed", x), ("missed", y))
+    ]
     n = 300_000
-    obs, mis, _ = sample_cell_counts(params, cells, substream(14, 0, "t"), size=n)
-    emp = float(np.mean((obs == 0).all(axis=0) & (mis == 0).all(axis=0)))
+    emp = count_event_hits(terms, params.gamma, params.lambda_law.sample, n, 14)
     theory = void_probability_intervals(params, cells)
     assert abs(_z(emp, theory, n)) < 4.0
 
@@ -113,9 +117,7 @@ def test_count_moments_match_mixed_poisson():
     s = sample_limit_counts(params, measure, [x], substream(15, 0, "t"), size=n)
     counts = s.observed[0]
 
-    rule = rule_for(law, 96, 96)
-    from gapextremes.limit_laws import g_intensity
-
+    rule = rule_for(law, 96, 96, steps=(g_step(gamma, x),))
     mu = rule.lam_col * measure * g_intensity(gamma, x, rule.z)
     mean_theory = rule.expect(mu)
     var_theory = mean_theory + rule.expect(mu**2) - mean_theory**2

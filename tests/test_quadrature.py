@@ -5,22 +5,22 @@ import pytest
 
 from gapextremes.errors import QuadratureConvergenceError
 from gapextremes.lambdalaw import LambdaLaw
+from gapextremes.limit_laws import g_step
 from gapextremes.quadrature import converge, rule_for
 
 
 @pytest.mark.parametrize("law", [LambdaLaw.point(0.5), LambdaLaw.uniform(0, 1), LambdaLaw.beta(2, 2)])
 def test_weights_normalized(law):
-    rule = rule_for(law, 64, 64)
-    assert rule.z_weights.sum() == pytest.approx(1.0, abs=1e-15)
+    rule = rule_for(law, 64, 64, steps=())
     assert rule.lam_weights.sum() == pytest.approx(1.0, abs=1e-15)
     # doubling the node count moves the integral of 1 by < 1e-14
-    bigger = rule_for(law, 128, 128)
+    bigger = rule_for(law, 128, 128, steps=())
     assert abs(rule.expect(np.ones((rule.lam.size, rule.z.size))) - 1.0) < 1e-14
     assert abs(bigger.expect(np.ones((bigger.lam.size, bigger.z.size))) - 1.0) < 1e-14
 
 
 def test_gaussian_moments_exact():
-    rule = rule_for(LambdaLaw.point(1.0), 64, 1)
+    rule = rule_for(LambdaLaw.point(1.0), 64, 1, steps=((0.0, 1.0),))
     assert rule.expect(rule.z) == pytest.approx(0.0, abs=1e-13)
     assert rule.expect(rule.z**2) == pytest.approx(1.0, abs=1e-12)
     assert rule.expect(rule.z**4) == pytest.approx(3.0, abs=1e-11)
@@ -36,8 +36,9 @@ def test_converge_returns_stable_value():
         lam = rule.lam_col
         return rule.expect(np.exp(-lam * np.exp(-1.0 + math.sqrt(2.0) * rule.z)))
 
-    value = converge(law, evaluate)
-    finer = evaluate(rule_for(law, 512, 512))
+    step = (g_step(1.0, 0.0),)
+    value = converge(law, evaluate, steps=step)
+    finer = evaluate(rule_for(law, 512, 512, steps=step))
     assert value == pytest.approx(finer, abs=1e-9)
 
 
@@ -49,14 +50,14 @@ def test_converge_escalates_then_errors():
         return float(len(calls))  # changes every time
 
     with pytest.raises(QuadratureConvergenceError):
-        converge(LambdaLaw.point(0.5), never_stable)
+        converge(LambdaLaw.point(0.5), never_stable, steps=())
     assert calls == [64, 128, 256, 512]
 
 
 def test_rules_are_cached_and_immutable():
-    a = rule_for(LambdaLaw.beta(2, 2), 64, 64)
-    b = rule_for(LambdaLaw.beta(2, 2), 64, 64)
-    assert a.z is b.z and a.lam is b.lam
+    a = rule_for(LambdaLaw.beta(2, 2), 64, 64, steps=())
+    b = rule_for(LambdaLaw.beta(2, 2), 64, 64, steps=())
+    assert a.lam is b.lam
     with pytest.raises(ValueError):
         a.z[0] = 0.0
 
@@ -75,7 +76,7 @@ def test_converge_elementwise_keeps_each_first_stable_value():
         seen.append(rule.n_z)
         return np.array(answers[rule.n_z])[rule.rows]
 
-    value = converge(LambdaLaw.point(0.5), evaluate, shape=(3,))
+    value = converge(LambdaLaw.point(0.5), evaluate, steps=(), shape=(3,))
     assert isinstance(value, np.ndarray) and value.dtype == float
     assert value.tolist() == [1.0, 2.5, 3.7]
     assert seen == [64, 128, 256, 512]
@@ -88,7 +89,7 @@ def test_converge_elementwise_stops_once_all_settled():
         seen.append(rule.n_z)
         return np.array([0.5, 0.25] if rule.n_z > 64 else [0.0, 0.25])[rule.rows]
 
-    value = converge(LambdaLaw.uniform(0, 1), evaluate, shape=(1, 2))
+    value = converge(LambdaLaw.uniform(0, 1), evaluate, steps=(), shape=(1, 2))
     assert value.shape == (1, 2) and value.tolist() == [[0.5, 0.25]]
     assert seen == [64, 128, 256]
 
@@ -97,7 +98,7 @@ def test_converge_scalar_returns_python_float():
     def evaluate(rule):
         return rule.expect(np.exp(-np.exp(rule.z)))
 
-    value = converge(LambdaLaw.point(1.0), evaluate)
+    value = converge(LambdaLaw.point(1.0), evaluate, steps=())
     assert type(value) is float
 
 
@@ -109,7 +110,7 @@ def test_converge_one_unsettled_element_raises():
         return np.array([1.0, float(len(calls))])[rule.rows]
 
     with pytest.raises(QuadratureConvergenceError, match="1 of 2"):
-        converge(LambdaLaw.point(0.5), evaluate, shape=(2,))
+        converge(LambdaLaw.point(0.5), evaluate, steps=(), shape=(2,))
     assert calls == [64, 128, 256, 512]
 
 
@@ -145,7 +146,7 @@ def test_converge_hands_later_rules_only_pending_rows():
         seen.append(rule.rows.tolist())
         return np.array([answers[rule.n_z][i] for i in rule.rows])
 
-    value = converge(LambdaLaw.point(0.5), evaluate, shape=(3,))
+    value = converge(LambdaLaw.point(0.5), evaluate, steps=(), shape=(3,))
     assert value.tolist() == [1.0, 2.5, 3.7]
     assert seen == [[0, 1, 2], [0, 1, 2], [1, 2], [2]]
 
@@ -158,7 +159,7 @@ def test_converge_rows_are_flat_indices_of_the_shape():
         answers = [0.0, 0.25, 0.5, 0.0] if len(seen) == 1 else [0.0, 0.25, 0.5, 1.0]
         return np.array([answers[i] for i in rule.rows])
 
-    value = converge(LambdaLaw.point(0.5), evaluate, shape=(2, 2))
+    value = converge(LambdaLaw.point(0.5), evaluate, steps=(), shape=(2, 2))
     assert value.shape == (2, 2) and value.tolist() == [[0.0, 0.25], [0.5, 1.0]]
     assert seen == [[0, 1, 2, 3], [0, 1, 2, 3], [3]]
 
@@ -177,6 +178,6 @@ def test_converge_passes_steps_to_every_rule():
 def test_converge_rejects_a_return_of_other_rows():
     # a batch evaluation returns just the pending rows, a scalar one value
     with pytest.raises(ValueError):
-        converge(LambdaLaw.point(0.5), lambda rule: np.zeros(3), shape=(2,))
+        converge(LambdaLaw.point(0.5), lambda rule: np.zeros(3), steps=(), shape=(2,))
     with pytest.raises(ValueError):
-        converge(LambdaLaw.point(0.5), lambda rule: np.zeros(2))
+        converge(LambdaLaw.point(0.5), lambda rule: np.zeros(2), steps=())
