@@ -15,9 +15,12 @@ For simulation, ``CompiledEvents`` reduces a replication to one
 observable the events mention, of two kinds: a class exceedance count
 over a family at a level, and a class argmax location.  Every term is a
 bound on one column, so an event is a conjunction of interval checks on
-the record, whichever sampler produced it.  ``tests/reference.py``
-computes the same observables one at a time and is the reference the
-record is tested against.
+the record, whichever sampler produced it.  Records are computed for a
+block of replications at once, one row each: at the levels u_n(x) only
+O(1) of the n values of a path exceed, so one scan of the block for the
+values above the lowest count level serves every count column.
+``tests/reference.py`` computes the same observables one at a time and is
+the reference the record is tested against.
 """
 from __future__ import annotations
 
@@ -108,16 +111,17 @@ class Event:
 
 class CompiledEvents:
     """Events bound to a path length, evaluated on one observable record
-    per replication.
+    per replication, for a block of replications at a time.
 
     ``observables`` lists the distinct observables the events mention, one
     record column each: ``("count", which, ranges, u)``, the class
     exceedance count above level u over the 0-based half-open index ranges
     of a family; and ``("location", which)``, the 1-based index of the
-    first class maximum.  ``record(values, eps_bool)`` computes every
-    column once per path.  Every term is one bound lo <= record[col] <= hi,
-    and calling with (values, eps_bool) returns one boolean per event:
-    whether all its bounds hold.
+    first class maximum.  ``record(values, eps_bool)`` takes a (B, n) block
+    of paths and indicators and returns the (B, columns) records; calling
+    with the same block returns (B, events) booleans: whether all of an
+    event's bounds lo <= record[col] <= hi hold.  A single path of shape
+    (n,) gives a single record and a single row of booleans.
     """
 
     def __init__(self, events, n: int):
@@ -139,35 +143,55 @@ class CompiledEvents:
                 cols.append(columns.setdefault(key, len(columns)))
                 limits.append(bounds)
         self.observables = tuple(columns)
-        self._classes = {key[1] for key in self.observables}
+        # a count column keeps its class, its level and the sorted edges of
+        # its ranges (an index is a member when an odd number of edges lie
+        # at or below it; None for the whole path)
+        self._counts, self._locations = [], []
+        for col, (kind, which, *spec) in enumerate(self.observables):
+            if kind == "location":
+                self._locations.append((col, which))
+                continue
+            ranges, u = spec
+            edges = None if ranges == ((0, self.n),) else np.array(ranges).ravel()
+            self._counts.append((col, which, edges, u))
+        self._floor = min((u for *_, u in self._counts), default=math.inf)
         self._cols = np.array(cols)
         self._lo, self._hi = np.array(limits, dtype=float).T
         self._starts = np.array(starts)
 
     def record(self, values: np.ndarray, eps_bool: np.ndarray) -> np.ndarray:
-        """The observable record of one path: one float per column of
-        ``observables``.  An empty class has location +inf."""
-        # a class is the path with every non-member at -inf, which exceeds
-        # no level
-        masked = {
-            which: values if which == "all"
-            else np.where(eps_bool if which == "observed" else ~eps_bool, values, -np.inf)
-            for which in self._classes
-        }
-        rec = np.empty(len(self.observables))
-        for col, (kind, which, *spec) in enumerate(self.observables):
-            arr = masked[which]
-            if kind == "count":
-                ranges, u = spec
-                rec[col] = sum(np.count_nonzero(arr[a:b] > u) for a, b in ranges)
-            else:
-                top = int(np.argmax(arr))
-                rec[col] = top + 1 if arr[top] > -np.inf else np.inf
+        """The observable records of a (B, n) block of paths: a (B, columns)
+        float array, one row per path.  An empty class has location +inf."""
+        values = np.asarray(values, dtype=float)
+        eps_bool = np.asarray(eps_bool, dtype=bool)
+        if values.ndim == 1:
+            return self.record(values[None], eps_bool[None])[0]
+        rows = len(values)
+        rec = np.empty((rows, len(self.observables)))
+        if self._counts:
+            # every count column counts a subset of the values above the
+            # lowest count level
+            row, index = np.divmod(np.flatnonzero(values > self._floor), values.shape[1])
+            height, observed = values[row, index], eps_bool[row, index]
+            member = {"all": True, "observed": observed, "missed": ~observed}
+            for col, which, edges, u in self._counts:
+                keep = (height > u) & member[which]
+                if edges is not None:
+                    keep &= np.searchsorted(edges, index, side="right") % 2 == 1
+                rec[:, col] = np.bincount(row[keep], minlength=rows)
+        for col, which in self._locations:
+            # a class is the block with every non-member at -inf
+            arr = values if which == "all" else np.where(
+                eps_bool if which == "observed" else ~eps_bool, values, -np.inf)
+            top = arr.argmax(axis=1)
+            peak = arr[np.arange(rows), top]
+            rec[:, col] = np.where(peak > -np.inf, top + 1, np.inf)
         return rec
 
     def __call__(self, values: np.ndarray, eps_bool: np.ndarray) -> np.ndarray:
-        rec = self.record(values, eps_bool)[self._cols]
-        return np.logical_and.reduceat((self._lo <= rec) & (rec <= self._hi), self._starts)
+        rec = self.record(values, eps_bool)[..., self._cols]
+        inside = (self._lo <= rec) & (rec <= self._hi)
+        return np.logical_and.reduceat(inside, self._starts, axis=-1)
 
 
 def _split_terms(event: Event):

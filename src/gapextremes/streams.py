@@ -11,6 +11,7 @@ are scheduled across workers.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -24,12 +25,28 @@ def label_key(label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _words(value: int) -> bytes:
+    """The little-endian 32-bit words of a non-negative integer, as numpy's
+    SeedSequence splits it (0 is one zero word)."""
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    return value.to_bytes(4 * max(1, -(-value.bit_length() // 32)), "little")
+
+
+@functools.lru_cache(maxsize=None)
+def _label_words(label: str) -> bytes:
+    return _words(label_key(label))
+
+
 def substream(master_seed: int, replication: int, label: str) -> np.random.Generator:
     """Generator for one (replication, component) cell of an experiment;
     for ``"path"`` streams ``replication`` is the draw index.
 
     Identical arguments always yield a generator producing an identical
     stream; distinct arguments yield statistically independent streams.
+    The entropy is the word array numpy makes of the list
+    ``[master_seed, replication, label_key(label)]``, built here directly.
     """
-    seq = np.random.SeedSequence([int(master_seed), int(replication), label_key(label)])
+    words = _words(int(master_seed)) + _words(int(replication)) + _label_words(label)
+    seq = np.random.SeedSequence(np.frombuffer(words, dtype="<u4"))
     return np.random.Generator(np.random.PCG64(seq))

@@ -275,3 +275,78 @@ def test_observable_record_matches_reference(case, fill, ties, ks, family, x, va
             and loc is not None
             and loc <= math.floor(s * n + 1e-9)
         )
+
+
+#: levels of the block test: finite, or infinite at either end
+_LEVEL = st.one_of(st.floats(-2, 2), st.sampled_from([-math.inf, math.inf]))
+
+
+@st.composite
+def _block_case(draw):
+    """A (B, n) block of paths and indicators whose rows are drawn, tie
+    their maxima, lie below every finite level, hold one class only, or
+    hold infinite and huge negative values."""
+    n = draw(st.integers(3, 40))
+    values, eps = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        row = np.asarray(draw(st.lists(st.floats(-6, 6), min_size=n, max_size=n)))
+        ind = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        shape = draw(st.sampled_from(["drawn", "ties", "low", "observed", "missed", "extreme"]))
+        if shape == "extreme":
+            row = np.array(draw(st.lists(st.sampled_from([-math.inf, -1e308, math.inf, 0.0]),
+                                         min_size=n, max_size=n)))
+        elif shape == "ties":
+            row = np.round(row)
+        elif shape == "low":  # below u_n(-2) for every n >= 3
+            row = row - 20.0
+        elif shape != "drawn":
+            ind = np.full(n, shape == "observed")
+        values.append(row)
+        eps.append(ind)
+    return np.array(values), np.array(eps)
+
+
+@given(
+    _block_case(),
+    _disjoint_family(),
+    st.lists(_LEVEL, min_size=1, max_size=3),
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.floats(0.01, 1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_block_record_matches_rows_and_reference(case, family, levels, k, value, s):
+    values, eps = case
+    n = values.shape[1]
+    lp = LevelParams.for_length(n)
+    # a value exactly at a level does not exceed it
+    values[0, :len(levels)] = [lp.level(x) if math.isfinite(x) else 0.0 for x in levels]
+    several = IntervalFamily.of((0.1, 0.3), (0.5, 0.6), (0.8, 1.0))
+    families = [family, several, IntervalFamily.unit()]
+    events = [
+        Event(which, tuple(CountTerm(which, fam, x, "le", value)
+                           for fam in families[:2] for x in levels)
+              + (order_stat(which, k, levels[0]), LocationTerm(which, s)))
+        for which in CLASSES
+    ]
+    compiled = CompiledEvents(events, n)
+    block = compiled.record(values, eps)
+    assert block.shape == (len(values), len(compiled.observables))
+    rows = [compiled.record(v, e) for v, e in zip(values, eps)]
+    assert np.array_equal(block, np.array(rows))
+    assert np.array_equal(compiled(values, eps), np.array([compiled(v, e) for v, e in zip(values, eps)]))
+
+    level_index = {lp.level(x): i for i, x in enumerate(levels)}
+    family_index = {tuple(fam.index_ranges(n)): j for j, fam in enumerate(families)}
+    for v, e, rec in zip(values, eps, rows):
+        counts = exceedance_counts(v, e, levels, families)
+        by_class = {"observed": counts.observed, "missed": counts.missed, "all": counts.total}
+        for col, (kind, which, *spec) in enumerate(compiled.observables):
+            if kind == "count":
+                ranges, u = spec
+                expected = by_class[which][level_index[u], family_index[ranges]]
+            else:  # an empty class, or one whose maximum is -inf, has no location
+                loc = max_location(v, e, which)
+                empty = loc is None or kth_maximum(v, e, which, 1) == -math.inf
+                expected = math.inf if empty else loc
+            assert rec[col] == expected, (kind, which, spec)

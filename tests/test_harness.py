@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gapextremes import harness
 from gapextremes.errors import ConfigError
 from gapextremes.events import CompiledEvents
 from gapextremes.gaussian import sample_path
@@ -388,3 +389,46 @@ def test_log_decay_replication_takes_its_row_of_its_draw():
         path = sample_path(model, substream(5, r // 2, "path"))[r % 2]
         eps = sample_indicators(config.missingness, config.n, substream(5, r, "indicators"))
         assert np.array_equal(_simulate_range(config, r, r + 1), compiled(path, eps).astype(np.int64))
+
+
+def _per_replication(config, lo, hi):
+    """Event hit counts of replications lo..hi-1, one replication at a time:
+    row r % k of draw r // k and the indicators of replication r."""
+    model = config.build_model()
+    k = model.spec.paths_per_draw
+    compiled = CompiledEvents(config.events, config.n)
+    counts = np.zeros(len(config.events), dtype=np.int64)
+    for r in range(lo, hi):
+        path = sample_path(model, substream(config.master_seed, r // k, "path"))[r % k]
+        eps = sample_indicators(config.missingness, config.n,
+                                substream(config.master_seed, r, "indicators"))
+        counts += compiled(path, eps)
+    return counts
+
+
+@pytest.mark.parametrize("model, missingness", [
+    ({"family": "one_factor", "n": 64, "gamma": 1.0},
+     {"kind": "exchangeable", "lambda_law": {"kind": "uniform", "a": 0.0, "b": 1.0}}),
+    ({"family": "iid", "n": 50}, {"kind": "iid_bernoulli", "p": 0.3}),
+    ({"family": "one_factor", "n": 64, "gamma": 0.5}, {"kind": "periodic", "pattern": "110"}),
+    ({"family": "log_decay", "n": 64, "gamma": 0.5}, {"kind": "iid_bernoulli", "p": 0.5}),
+], ids=["one_factor-exchangeable", "iid-bernoulli", "periodic", "log_decay"])
+def test_block_size_does_not_change_counts(monkeypatch, model, missingness):
+    # low levels, so that most replications have exceedances
+    events = LOG_DECAY_EVENTS + [
+        {"id": "low", "terms": [{"type": "count", "class": "all", "intervals": [[0.1, 0.3], [0.6, 1]],
+                                 "x": -6.0, "op": "le", "value": 14}]},
+        {"id": "low_location", "terms": [{"type": "location", "class": "all", "s": 0.4},
+                                         _order("all", 1, 1.0)]},
+    ]
+    config = parse_config({"model": model, "missingness": missingness, "targets": events,
+                           "reps": 11, "master_seed": 3})
+    splits = [(0, 11), (0, 4), (4, 11), (3, 8), (5, 6)]
+    expected = {span: _per_replication(config, *span) for span in splits}
+    assert np.array_equal(expected[0, 4] + expected[4, 11], expected[0, 11])
+    assert all(0 < hits < 11 for hits in expected[0, 11][-2:])
+    n = config.n
+    for elements in (n, 3 * n, harness.BLOCK_ELEMENTS):  # B = 1, 3 and the default
+        monkeypatch.setattr(harness, "BLOCK_ELEMENTS", elements)
+        for span in splits:
+            assert np.array_equal(_simulate_range(config, *span), expected[span]), (elements, span)

@@ -1,4 +1,7 @@
+import itertools
+
 import numpy as np
+import pytest
 
 from gapextremes.streams import label_key, substream
 
@@ -33,3 +36,24 @@ def test_streams_statistically_independent():
     b = substream(5, 0, "indicators").standard_normal(n)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 4.0 / np.sqrt(n)
+
+
+WORD_EDGES = (0, 1, 2**32 - 1, 2**32, 2**63 + 5)
+
+
+@pytest.mark.parametrize("label", ["path", "indicators"])
+def test_substream_equals_numpy_list_entropy(label):
+    # the entropy words are built directly; numpy's coercion of the list
+    # [seed, replication, label_key(label)] must give the same stream
+    for seed, replication in itertools.product(WORD_EDGES, WORD_EDGES):
+        listed = np.random.SeedSequence([seed, replication, label_key(label)])
+        expected = np.random.Generator(np.random.PCG64(listed)).integers(0, 2**63, 8)
+        got = substream(seed, replication, label).integers(0, 2**63, 8)
+        assert np.array_equal(got, expected), (seed, replication)
+
+
+def test_substream_rejects_negative_keys():
+    with pytest.raises(ValueError):
+        substream(-1, 0, "path")
+    with pytest.raises(ValueError):
+        substream(0, -1, "path")
