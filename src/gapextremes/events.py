@@ -161,7 +161,8 @@ class CompiledEvents:
 
     def record(self, values: np.ndarray, eps_bool: np.ndarray) -> np.ndarray:
         """The observable records of a (B, n) block of paths: a (B, columns)
-        float array, one row per path.  An empty class has location +inf."""
+        float array, one row per path.  An empty class has location +inf,
+        and so has a nonempty class whose values are all -inf."""
         values = np.asarray(values, dtype=float)
         eps_bool = np.asarray(eps_bool, dtype=bool)
         if values.ndim == 1:
@@ -226,18 +227,13 @@ def _locations_theory(counts, locs, params: LimitLawParams) -> float | None:
 def theory_finite_n(event: Event, n: int, gamma: float, pattern: np.ndarray | None) -> float | None:
     """Exact finite-n probability via the one-factor identity, for void
     events (every count at most 0) under a deterministic indicator
-    pattern: each atom of the event's families keeps each class below the
-    lowest level a term counts it at."""
+    pattern: the band-cell law of the event's count terms, weighted by the
+    numbers of observed and missed indices in each atom."""
     counts, locs = _split_terms(event)
     if pattern is None or locs or any(t.value for t in counts):
         return None
     cells = limit_laws.compile_counts([(t.which, t.family.intervals, t.x) for t in counts])
-    lowest = dict.fromkeys(((a, w) for a in range(len(cells.atoms)) for w in CLASSES), math.inf)
-    for _, pieces in cells.variables:
-        for atom, which, _, bottom in pieces:
-            lowest[atom, which] = min(lowest[atom, which], bottom)
     pattern = np.asarray(pattern).astype(bool)
     masks = [IntervalFamily(intervals).member_mask(n) for intervals, _ in cells.atoms]
-    return limit_laws.finite_n_one_factor_prob(n, gamma, [
-        (int((pattern & m).sum()), int((~pattern & m).sum()), lowest[a, "observed"],
-         lowest[a, "missed"]) for a, m in enumerate(masks)])
+    return limit_laws.finite_n_one_factor_prob(
+        n, gamma, cells, [(int((pattern & m).sum()), int((~pattern & m).sum())) for m in masks])

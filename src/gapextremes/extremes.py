@@ -92,10 +92,6 @@ class IntervalFamily:
     def unit(cls) -> "IntervalFamily":
         return cls(((0.0, 1.0),))
 
-    @property
-    def measure(self) -> float:
-        return float(sum(d - c for c, d in self.intervals))
-
     def index_ranges(self, n: int) -> list[tuple[int, int]]:
         """0-based half-open [lo, hi) ranges of member indices."""
         # the tiny nudge keeps floor(n*c) stable when n*c is an integer up

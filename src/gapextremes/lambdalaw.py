@@ -78,18 +78,6 @@ class LambdaLaw:
 
     # -- queries -----------------------------------------------------------
 
-    def mean(self) -> float:
-        if self.kind == "point":
-            return self.params[0]
-        if self.kind == "discrete":
-            values, weights = self.params
-            return float(np.dot(values, weights))
-        if self.kind == "uniform":
-            a, b = self.params
-            return 0.5 * (a + b)
-        alpha, beta = self.params
-        return alpha / (alpha + beta)
-
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray | float:
         if self.kind == "point":
             p = self.params[0]

@@ -9,9 +9,9 @@ Poisson with intensities ``lam * g`` and ``(1 - lam) * g``, where
     g(x, z) = exp(-x - gamma + sqrt(2 gamma) z)
 
 is the limiting mean number of exceedances of level u_n(x) given xi = z.
-Every law hands an integrand ``f(lam, g)`` and the levels it uses to one
-kernel, ``_mixed_poisson``, which alone contracts it against the
-quadrature rules, refines until stable (quadrature.converge; a batch
+Every law hands a batch integrand ``f(lam, g, rows)`` and the levels it
+uses to one kernel, ``_mixed_poisson``, which alone contracts it against
+the quadrature rules, refines until stable (quadrature.converge; the batch
 shares each rule, every element settling on its own, and finer rules see
 only the pending elements) and clips to [0, 1].  For gamma > 0 the
 integrand steps from 1 to 0 where g(x, z) crosses 1, at
@@ -25,14 +25,14 @@ those the same terms count merge into one variable.  ``count_bounds_prob``
 takes rows of per-term (lo, hi) bounds, sums over the pruned assignments
 of the shared variables, takes each term's private variable in closed
 form, and multiplies the factors in canonical order from per-rule tables.
-The order-statistic, joint-count and void evaluators wrap it.
+The order-statistic, joint-count and void evaluators wrap it, and so does
+the exact finite-n void identity of the one-factor model: -log Phi of the
+factor-shifted level in place of g, each atom's class counts in place of
+lam |atom|, under the unit fraction law and with its own steps.
 
 The locations-and-heights law of any located classes is a batch of two
 race terms, one per class that may carry the overall maximum; the
-location factors multiply them outside the kernel.  It and the exact
-finite-n identity of the one-factor model (log Phi of the factor-shifted
-level in place of g, under the unit fraction law, with its own steps) run
-on the same kernel.
+location factors multiply them outside the kernel.
 
 Level arguments accept +inf to drop the corresponding constraint.
 """
@@ -122,20 +122,18 @@ def g_step(gamma: float, x: float) -> tuple[float, float]:
     return (x + gamma) / root, 1.0 / root
 
 
-def _mixed_poisson(params: LimitLawParams, integrand, levels, shape: tuple = (),
+def _mixed_poisson(params: LimitLawParams, integrand, levels, shape: tuple,
                    per_level=g_intensity, step=g_step):
-    """E over (lambda, xi) of ``integrand(lam, g)``, with ``lam`` the
-    fraction column and ``g(level)`` the per-level map
-    ``per_level(gamma, level, z)`` at the factor nodes z: the intensity
-    ``g_intensity`` for the limit laws.  ``levels`` are those the
-    integrand may use; the z rule is aligned to the step (centre, width)
-    ``step(gamma, level)`` of each finite one, and has one node when
-    gamma = 0 or no level is finite.
-
-    A nonempty ``shape`` makes it a batch: ``integrand(lam, g, rows)``
-    then gets the flat indices of the elements still pending and yields
-    one value array for each of them.  The result is an array of that
-    shape whose elements each converge on their own."""
+    """E over (lambda, xi) of a batch of integrals of the given ``shape``.
+    ``integrand(lam, g, rows)`` gets the fraction column ``lam``, the
+    per-level map ``g(level) = per_level(gamma, level, z)`` at the factor
+    nodes z (the intensity ``g_intensity`` for the limit laws) and the flat
+    indices of the elements still pending, and yields one value array for
+    each of them.  ``levels`` are those the integrand may use; the z rule
+    is aligned to the step (centre, width) ``step(gamma, level)`` of each
+    finite one, and has one node when gamma = 0 or no level is finite.
+    The result is an array of that shape whose elements each converge on
+    their own."""
     steps = () if params.gamma == 0.0 else tuple(
         step(params.gamma, x) for x in sorted(set(levels)) if math.isfinite(x))
 
@@ -143,8 +141,6 @@ def _mixed_poisson(params: LimitLawParams, integrand, levels, shape: tuple = (),
         def g(x):
             return per_level(params.gamma, x, rule.z)
 
-        if not shape:
-            return rule.expect(integrand(rule.lam_col, g))
         return [rule.expect(v) for v in integrand(rule.lam_col, g, rule.rows)]
 
     return _clip_prob(converge(params.lambda_law, evaluate, steps=steps, shape=shape))
@@ -230,11 +226,18 @@ def _assignments(cells: CountCells, row):
     return None if visits > MAX_ASSIGNMENTS else found
 
 
-def count_bounds_prob(params: LimitLawParams, cells: CountCells, bounds) -> np.ndarray | None:
-    """Limit probability, per row of ``bounds``, that every count term of
+def count_bounds_prob(params: LimitLawParams, cells: CountCells, bounds, weights=None,
+                      per_level=g_intensity, step=g_step) -> np.ndarray | None:
+    """Probability, per row of ``bounds``, that every count term of
     ``cells`` lies in its integer bounds (lo, hi): hi finite, lo = hi or
     -inf.  A row no assignment satisfies gets exactly 0, a row without
-    variables 1, and None comes back past ``MAX_ASSIGNMENTS`` steps."""
+    variables 1, and None comes back past ``MAX_ASSIGNMENTS`` steps.
+
+    A piece (atom, class, top, bottom) of a variable has mean
+    w (G(bottom) - G(top)), with G the per-level map ``per_level`` and its
+    ``step`` as ``_mixed_poisson`` takes them.  By default this is the
+    limit: G is g and w the class fraction times the atom's measure;
+    ``weights`` maps (atom, class) to w in its place."""
     rows = [_assignments(cells, row) for row in bounds]
     if None in rows:
         return None
@@ -246,12 +249,14 @@ def count_bounds_prob(params: LimitLawParams, cells: CountCells, bounds) -> np.n
     def integrand(lam, g, pending):
         pending = [live[i] for i in pending]
         fracs, at = {"observed": lam, "missed": 1.0 - lam}, {x: g(x) for x in levels}
+        weight = weights or {(atom, which): fracs[which] * measure
+                             for atom, (_, measure) in enumerate(cells.atoms) for which in fracs}
         table, left = {}, Counter(key for i in pending for keys in rows[i] for key in keys)
 
         def factor(key):  # a table entry lives from the first use of its key to the last
             v, kind, k = key
             if key not in table:
-                mu = reduce(add, (fracs[which] * cells.atoms[atom][1] * (at[bottom] - at[top])
+                mu = reduce(add, (weight[atom, which] * (at[bottom] - at[top])
                                   for atom, which, top, bottom in cells.variables[v][1]))
                 table[key] = _poisson_pmf(k, mu) if kind == "pmf" else special.pdtr(k, mu)
             left[key] -= 1
@@ -260,7 +265,8 @@ def count_bounds_prob(params: LimitLawParams, cells: CountCells, bounds) -> np.n
         for i in pending:  # products and sums start from their first term
             yield reduce(add, (reduce(mul, map(factor, keys)) for keys in rows[i]))
 
-    out[live] = _mixed_poisson(params, integrand, levels, (len(live),)) if live else []
+    if live:
+        out[live] = _mixed_poisson(params, integrand, levels, (len(live),), per_level, step)
     return out
 
 
@@ -344,45 +350,48 @@ def void_probability_intervals(params: LimitLawParams, cells) -> float:
                                 for which, level in (("observed", x), ("missed", y))])
 
 
-def finite_n_one_factor_prob(n: int, gamma: float, cells) -> float:
+def finite_n_one_factor_prob(n: int, gamma: float, cells: CountCells, counts) -> float:
     """Exact finite-n probability, for the one-factor model with a fixed
-    indicator pattern, that every cell keeps its observed values below
-    u_n(x_i) and its missed values below u_n(y_i).
+    indicator pattern, that no count term of ``cells`` has an exceedance.
+    ``counts`` holds each atom's (observed, missed) numbers of indices.
 
-    ``cells`` is an iterable of (n_obs, n_miss, x, y).  Conditionally on
-    the shared factor the coordinates are independent, so the probability
-    is a one-dimensional normal integral of a product of powers of Phi at
-    the factor-shifted levels: the kernel's per-level map is log Phi of
-    ``transformed_level``, under the unit fraction law.
+    Conditionally on the shared factor the coordinates are independent,
+    and one stays below a level with probability Phi(t) at the
+    factor-shifted level t = ``transformed_level``.  So this is the
+    band-cell law on the void row, with -log Phi(t) in place of g and the
+    class counts in place of lam |atom|, under the unit fraction law: its
+    factors telescope to E_z prod Phi(t)^count at each atom's lowest
+    level per class.
     """
     n = int(n)
     LevelParams.for_length(n)  # n >= 3
     if gamma < 0.0 or gamma >= math.log(n):
         raise InvalidParameterError(f"need 0 <= gamma < ln n, got gamma={gamma}, n={n}")
-    cells = [(int(no), int(nm), float(x), float(y)) for no, nm, x, y in cells]
-    if any(no < 0 or nm < 0 for no, nm, _, _ in cells):
+    counts = [(int(no), int(nm)) for no, nm in counts]
+    if len(counts) != len(cells.atoms):
+        raise InvalidParameterError(f"need {len(cells.atoms)} atom counts, got {len(counts)}")
+    if any(no < 0 or nm < 0 for no, nm in counts):
         raise InvalidParameterError("cell counts must be nonnegative")
-    if sum(no + nm for no, nm, _, _ in cells) > n:
+    if sum(no + nm for no, nm in counts) > n:
         raise InvalidParameterError("total cell counts exceed the path length")
-    powers = [(k, level) for no, nm, x, y in cells for k, level in ((no, x), (nm, y)) if k]
     rho, t0, norming = gamma / math.log(n), -special.ndtri(1.0 / n), LevelParams.for_length(n)
+    # caps -log Phi at -inf levels: a class without indices adds 0, not
+    # 0 * inf, and n indices at the cap still sum to a finite mean
+    cap = np.finfo(float).max / (n + 1)
 
-    def integrand(lam, log_phi):
-        # log Phi(+inf) = 0 starts the sum on the z nodes: no cells give 1
-        return np.exp(sum((k * log_phi(level) for k, level in powers), log_phi(math.inf)))
+    def neg_log_phi(g, x, z):
+        return np.minimum(-special.log_ndtr(transformed_level(n, x, z, g)), cap)
 
     def step(_, x):
         # n (1 - Phi(t)) = 1 at t0, and falls by e every 1 / t0 past it
         return ((norming.level(x) - math.sqrt(1.0 - rho) * t0) / math.sqrt(rho),
                 math.sqrt(1.0 - rho) / (t0 * math.sqrt(rho)))
 
-    return _mixed_poisson(
-        LimitLawParams(gamma, _UNIT_LAW),
-        integrand,
-        [level for _, level in powers],
-        per_level=lambda g, x, z: special.log_ndtr(transformed_level(n, x, z, g)),
-        step=step,
-    )
+    weights = {(atom, which): k for atom, pair in enumerate(counts)
+               for which, k in zip(("observed", "missed"), pair)}
+    void = [(0, 0)] * len(cells.index)
+    return float(count_bounds_prob(LimitLawParams(gamma, _UNIT_LAW), cells, [void], weights,
+                                   neg_log_phi, step)[0])
 
 
 def locations_heights_cdf(params: LimitLawParams, s, h):

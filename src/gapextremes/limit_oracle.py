@@ -47,10 +47,6 @@ class LimitSample:
     missed_loc: np.ndarray | None = None
 
     @property
-    def overall_max(self) -> np.ndarray:
-        return np.maximum(self.observed_max, self.missed_max)
-
-    @property
     def overall_loc(self) -> np.ndarray:
         return np.where(self.observed_max >= self.missed_max, self.observed_loc, self.missed_loc)
 

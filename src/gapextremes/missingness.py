@@ -90,8 +90,5 @@ def sample_indicators(
         raise InvalidParameterError(f"need n >= 1, got {n}")
     if model.kind == "periodic":
         return fixed_pattern(model, n)
-    if model.kind == "iid_bernoulli":
-        lam = model.lambda_law.params[0]
-    else:
-        lam = float(model.lambda_law.sample(stream))
+    lam = float(model.lambda_law.sample(stream))  # a point law draws nothing
     return stream.random(n) < lam

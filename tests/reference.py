@@ -20,13 +20,22 @@ level L of an event there are Poisson(frac * g(L)) points per class, at
 uniform locations and heights L + Exp(1).  A count term counts the points
 of its class inside its intervals above its level; no atoms, bands or
 merged variables are formed.
+
+``finite_n_void_prob`` is the exact finite-n void probability of the
+one-factor model by ``scipy.integrate.quad``, index by index: given the
+factor, each index stays below the lowest level a term counts its class
+at.  ``lambda_mean``, ``family_measure`` and ``overall_max`` are the
+plain quantities the tests compare against.  ``finite_n_cells_prob`` is
+not a reference: it calls the package's finite-n identity with
+(n_obs, n_miss, x, y) cells, each laid end to end as its own atom.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import integrate, special
 
+from gapextremes import limit_laws
 from gapextremes.errors import InvalidParameterError
 from gapextremes.extremes import CLASSES, IntervalFamily, LevelParams
 from gapextremes.gaussian import GaussianModel
@@ -183,3 +192,73 @@ def complement(law: LambdaLaw) -> LambdaLaw:
         return LambdaLaw.uniform(1.0 - b, 1.0 - a)
     alpha, beta = law.params
     return LambdaLaw.beta(beta, alpha)
+
+
+def lambda_mean(law: LambdaLaw) -> float:
+    """Mean of the fraction law."""
+    if law.kind == "point":
+        return law.params[0]
+    if law.kind == "discrete":
+        values, weights = law.params
+        return float(np.dot(values, weights))
+    a, b = law.params
+    return 0.5 * (a + b) if law.kind == "uniform" else a / (a + b)
+
+
+def family_measure(family: IntervalFamily) -> float:
+    """Total length of the intervals of a family."""
+    return float(sum(d - c for c, d in family.intervals))
+
+
+def overall_max(sample) -> np.ndarray:
+    """Overall maximum of a limit sample's maxima draws."""
+    return np.maximum(sample.observed_max, sample.missed_max)
+
+
+def finite_n_cells_prob(n, gamma, cells):
+    """``limit_laws.finite_n_one_factor_prob`` of (n_obs, n_miss, x, y)
+    cells: cell i is the atom (i / m, (i + 1) / m] of m cells, its observed
+    class counted at x and its missed class at y."""
+    cells = list(cells)
+    ends = np.linspace(0.0, 1.0, len(cells) + 1).tolist()
+    terms = [(which, ((a, b),), level) for a, b, (_, _, x, y) in zip(ends, ends[1:], cells)
+             for which, level in (("observed", x), ("missed", y))]
+    return limit_laws.finite_n_one_factor_prob(
+        n, gamma, limit_laws.compile_counts(terms), [cell[:2] for cell in cells])
+
+
+def finite_n_void_prob(n, gamma, pattern, terms):
+    """P(no term has an exceedance) for the one-factor model of length n
+    with indicator ``pattern``; ``terms`` are (class, intervals, x).  Given
+    the factor z the values are independent, and index i stays below its
+    lowest level x_i with probability Phi(t(x_i, z)),
+    t(x, z) = (u_n(x) - sqrt(rho) z) / sqrt(1 - rho), rho = gamma / ln n.
+    So the value is E_z prod_x Phi(t(x, z))^k_x, k_x indices at level x."""
+    pattern = np.asarray(pattern, dtype=bool)
+    lowest = np.full(n, math.inf)
+    for which, intervals, x in terms:
+        member = np.zeros(n, dtype=bool)
+        for lo, hi in IntervalFamily.of(*intervals).index_ranges(n):
+            member[lo:hi] = True
+        if which != "all":
+            member &= pattern if which == "observed" else ~pattern
+        lowest[member] = np.minimum(lowest[member], x)
+    levels, k = np.unique(lowest[lowest < math.inf], return_counts=True)
+    if levels.size and levels[0] == -math.inf:
+        return 0.0
+    lp, rho = LevelParams.for_length(n), gamma / math.log(n)
+    u = levels / lp.a_n + lp.b_n
+
+    def fn(z):
+        t = (u - math.sqrt(rho) * z) / math.sqrt(1.0 - rho)
+        return math.exp(float(np.dot(k, special.log_ndtr(t))))
+
+    # each factor falls from 1 to 0 where n (1 - Phi(t)) crosses 1
+    t0 = -special.ndtri(1.0 / n)
+    steps = [] if gamma == 0.0 else sorted((u - math.sqrt(1.0 - rho) * t0) / math.sqrt(rho))
+    cuts = [-math.inf, *steps, math.inf]
+    total = sum(
+        integrate.quad(lambda z: fn(z) * math.exp(-0.5 * z * z), a, b, epsabs=1e-14,
+                       epsrel=1e-13, limit=200)[0]
+        for a, b in zip(cuts, cuts[1:]))
+    return total / math.sqrt(2.0 * math.pi)

@@ -12,7 +12,8 @@ from gapextremes.events import CountTerm, Event, order_stat, theory_finite_n, th
 from gapextremes.extremes import IntervalFamily
 from gapextremes.lambdalaw import LambdaLaw
 from gapextremes.limit_laws import LimitLawParams
-from reference import assert_within_sigma, count_event_hits
+from gapextremes.missingness import MissingnessModel, fixed_pattern
+from reference import assert_within_sigma, count_event_hits, finite_n_cells_prob, finite_n_void_prob
 
 PARAMS = LimitLawParams(0.5, LambdaLaw.beta(2.0, 2.0))
 INF = math.inf
@@ -135,8 +136,37 @@ def test_finite_n_void_on_overlapping_families():
     # the lowest level any term counts it at in the atom
     atoms = [(10, 10, 0.0, INF), (10, 10, 0.0, -0.5), (5, 5, 0.0, -0.5), (5, 5, 0.0, 0.5),
              (20, 20, 0.5, 0.5)]
-    assert theory_finite_n(ev, n, gamma, pattern) == limit_laws.finite_n_one_factor_prob(
+    assert theory_finite_n(ev, n, gamma, pattern) == finite_n_cells_prob(
         n, gamma, atoms)
+
+
+#: void events as (class, intervals, x): infinite levels, classes some atoms
+#: hold no index of (a one-index atom at odd n, or patterns "1" and "0"),
+#: and overlapping families.  A -inf level on a class without indices
+#: ("minus-inf" under pattern "1") must add nothing, not 0 * inf = NaN.
+FINITE_N_EDGES = {
+    "minus-inf": [("observed", [(0.0, 1.0)], 0.0), ("missed", [(0.0, 1.0)], -INF)],
+    "plus-inf": [("observed", [(0.0, 0.5)], INF), ("all", [(0.25, 1.0)], 0.3),
+                 ("missed", [(0.0, 1.0)], INF)],
+    "one-index-atom": [("missed", [(0.0, 0.01)], -INF),
+                       ("observed", [(0.0, 0.01), (0.5, 1.0)], -0.2),
+                       ("all", [(0.3, 0.7)], INF), ("missed", [(0.6, 1.0)], 0.4)],
+    "overlapping": [("observed", [(0.0, 0.6)], 0.0), ("all", [(0.4, 1.0)], 0.5),
+                    ("missed", [(0.2, 0.5)], -0.5), ("all", [(0.1, 0.3), (0.7, 0.9)], 1.0)],
+}
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("word", ["1", "0", "10"])
+@pytest.mark.parametrize("terms", FINITE_N_EDGES.values(), ids=FINITE_N_EDGES)
+def test_finite_n_void_edges_match_quad(terms, word, gamma):
+    n = 101
+    pattern = fixed_pattern(MissingnessModel.periodic(word), n)
+    expected = finite_n_void_prob(n, gamma, pattern, terms)
+    for op in ("eq", "le"):
+        ev = Event("v", tuple(_count(which, iv, x, op, 0) for which, iv, x in terms))
+        got = theory_finite_n(ev, n, gamma, pattern)
+        assert abs(got - expected) < 1e-9, (op, got, expected)  # a NaN fails too
 
 
 def test_assignment_cap_gives_no_theory():

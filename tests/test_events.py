@@ -25,7 +25,10 @@ from reference import (
     assert_within_sigma,
     count_event_hits,
     exceedance_counts,
+    family_measure,
+    finite_n_cells_prob,
     kth_maximum,
+    lambda_mean,
     max_location,
 )
 
@@ -236,7 +239,7 @@ def test_theory_locations():
     ev = Event("l", (LocationTerm("observed", 0.3), LocationTerm("all", 0.7)))
     # the overall location is the observed one when the observed class
     # wins the maximum race, with probability E[lambda]
-    mean = PARAMS.lambda_law.mean()
+    mean = lambda_mean(PARAMS.lambda_law)
     expected = 0.3 * 0.7 * (1 - mean) + 0.3 * mean
     assert theory_limit(ev, PARAMS) == pytest.approx(expected, abs=1e-10)
 
@@ -313,7 +316,7 @@ def _eq(which, x, value, family=PMF_FAM):
 def _pmf_sum(x, y, cells):
     """Sum of joint count pmf cells on PMF_FAM: an equivalent spelling of
     an event that leaves some of the four counts free."""
-    return limit_laws.joint_counts_pmf_batch(PARAMS, PMF_FAM.measure, x, y, cells).sum()
+    return limit_laws.joint_counts_pmf_batch(PARAMS, family_measure(PMF_FAM), x, y, cells).sum()
 
 
 def _sampled(terms):
@@ -359,7 +362,7 @@ def test_theory_counts_pmf_dispatch(terms, expected):
     got = theory_limit(Event("pmf", terms), PARAMS)
     kind, reference = expected
     if kind == "pmf":
-        assert got == limit_laws.joint_counts_pmf(PARAMS, PMF_FAM.measure, *reference)
+        assert got == limit_laws.joint_counts_pmf(PARAMS, family_measure(PMF_FAM), *reference)
     elif kind == "exact":
         assert got == reference
     elif kind == "sum":
@@ -426,11 +429,11 @@ def test_finite_n_maxima_event():
     n, gamma = 100, 1.0
     pattern = np.arange(n) % 2 == 0
     ev = Event("m", (order_stat("observed", 1, 0.0), order_stat("missed", 1, 0.5)))
-    expected = limit_laws.finite_n_one_factor_prob(n, gamma, [(50, 50, 0.0, 0.5)])
+    expected = finite_n_cells_prob(n, gamma, [(50, 50, 0.0, 0.5)])
     assert theory_finite_n(ev, n, gamma, pattern) == pytest.approx(expected, abs=1e-15)
 
     ev_all = Event("m2", (order_stat("all", 1, 0.3),))
-    expected = limit_laws.finite_n_one_factor_prob(n, gamma, [(50, 50, 0.3, 0.3)])
+    expected = finite_n_cells_prob(n, gamma, [(50, 50, 0.3, 0.3)])
     assert theory_finite_n(ev_all, n, gamma, pattern) == pytest.approx(expected, abs=1e-15)
 
 
@@ -448,7 +451,7 @@ def test_finite_n_void_event():
             CountTerm("missed", right, 0.5, "eq", 0),
         ),
     )
-    expected = limit_laws.finite_n_one_factor_prob(
+    expected = finite_n_cells_prob(
         n, gamma, [(15, 15, 0.0, 0.5), (20, 20, 0.0, 0.5)]
     )
     assert theory_finite_n(ev, n, gamma, pattern) == pytest.approx(expected, abs=1e-15)

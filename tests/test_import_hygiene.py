@@ -17,7 +17,10 @@ the program or the benchmark: some package module (``__init__.py`` aside)
 or ``perfbench`` script names it, reads it as an attribute, imports it, or
 holds it as a dotted component of a string (the tracer's targets).  Its
 own definition and its module's ``__all__`` do not count, so code that
-only tests use belongs in ``tests/``.
+only tests use belongs in ``tests/``.  A method or property (dunder
+methods aside) is reached only when a package module (``__init__.py``
+aside) or a ``perfbench`` script reads it as an attribute, or a
+``perfbench`` string names it.
 """
 import ast
 import functools
@@ -104,20 +107,22 @@ def test_init_imports_resolve():
 
 
 @functools.cache
-def _reached_names() -> frozenset:
-    """Names the package modules and the benchmark scripts refer to."""
-    names = set()
+def _reached() -> tuple[frozenset, frozenset]:
+    """(names, attributes) the package modules and the benchmark scripts
+    refer to: every name, and those read as an attribute or held as a
+    dotted component of a benchmark string."""
+    names, attributes = set(), set()
     for path in [*MODULES, *PERFBENCH]:
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.update(node.name.split("."))
             elif path in PERFBENCH and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.update(node.value.split("."))
-    return frozenset(names)
+                attributes.update(node.value.split("."))
+    return frozenset(names | attributes), frozenset(attributes)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -127,4 +132,17 @@ def test_every_definition_is_reached(path):
         for node in _tree(path).body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     ]
-    assert sorted(set(defined) - _reached_names()) == []
+    assert sorted(set(defined) - _reached()[0]) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_method_is_reached(path):
+    methods = [
+        (node.name, item.name)
+        for node in _tree(path).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("__")
+    ]
+    assert [f"{cls}.{name}" for cls, name in methods if name not in _reached()[1]] == []

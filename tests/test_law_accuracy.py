@@ -16,12 +16,12 @@ from gapextremes.errors import QuadratureConvergenceError
 from gapextremes.lambdalaw import LambdaLaw
 from gapextremes.limit_laws import (
     LimitLawParams,
-    finite_n_one_factor_prob,
     joint_maxima_cdf,
     locations_heights_cdf,
     void_probability_intervals,
 )
 from pairs import pair_cdf
+from reference import finite_n_cells_prob
 
 TOL = 1e-9
 GAMMAS = (0.0, 0.5, 2.0, 4.0, 8.0, 11.0)
@@ -185,5 +185,5 @@ def test_finite_n_matches_quad(gamma):
                 for k, level in powers))
 
         expected = _expect_z(fn, _limit_steps(gamma, *(level for _, level in powers)))
-        errors.append(abs(finite_n_one_factor_prob(n, gamma, cells) - expected))
+        errors.append(abs(finite_n_cells_prob(n, gamma, cells) - expected))
     assert all(e < TOL for e in errors), max(errors)  # a NaN fails too

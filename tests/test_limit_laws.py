@@ -11,7 +11,6 @@ from gapextremes.errors import InvalidParameterError
 from gapextremes.lambdalaw import LambdaLaw
 from gapextremes.limit_laws import (
     LimitLawParams,
-    finite_n_one_factor_prob,
     g_intensity,
     g_step,
     joint_counts_pmf,
@@ -24,7 +23,7 @@ from gapextremes.limit_laws import (
 )
 from gapextremes.quadrature import converge
 from pairs import pair_cdf
-from reference import complement, normal_hermite_rule
+from reference import complement, finite_n_cells_prob, normal_hermite_rule
 
 INF = math.inf
 
@@ -320,17 +319,20 @@ def test_finite_n_independence_case():
     # gamma = 0: the factor drops out and the answer is Phi(u_n(x))^n
     n = 100
     u = 2.3662547929063940  # u_100(0), frozen
-    got = finite_n_one_factor_prob(n, 0.0, [(100, 0, 0.0, INF)])
+    got = finite_n_cells_prob(n, 0.0, [(100, 0, 0.0, INF)])
     assert got == pytest.approx(special.ndtr(u) ** n, abs=1e-10)
 
 
 def test_finite_n_validation():
     with pytest.raises(InvalidParameterError):
-        finite_n_one_factor_prob(100, 0.0, [(60, 50, 0.0, 0.0)])
+        finite_n_cells_prob(100, 0.0, [(60, 50, 0.0, 0.0)])
     with pytest.raises(InvalidParameterError):
-        finite_n_one_factor_prob(100, math.log(100), [(10, 10, 0.0, 0.0)])
+        finite_n_cells_prob(100, math.log(100), [(10, 10, 0.0, 0.0)])
     with pytest.raises(InvalidParameterError):
-        finite_n_one_factor_prob(100, 0.0, [(-1, 5, 0.0, 0.0)])
+        finite_n_cells_prob(100, 0.0, [(-1, 5, 0.0, 0.0)])
+    whole = limit_laws.compile_counts([("observed", ((0.0, 1.0),), 0.0)])
+    with pytest.raises(InvalidParameterError):  # one (n_obs, n_miss) pair per atom
+        limit_laws.finite_n_one_factor_prob(100, 0.0, whole, [(10, 10), (5, 5)])
 
 
 def test_finite_n_against_one_factor_simulation():
@@ -349,7 +351,7 @@ def test_finite_n_against_one_factor_simulation():
     for lo, hi in ranges:
         n_obs = int(eps[lo:hi].sum())
         cells.append((n_obs, (hi - lo) - n_obs, x, y))
-    exact = finite_n_one_factor_prob(n, gamma, cells)
+    exact = finite_n_cells_prob(n, gamma, cells)
 
     lp = LevelParams.for_length(n)
     ux, uy = lp.level(x), lp.level(y)
