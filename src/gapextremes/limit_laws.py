@@ -25,6 +25,9 @@ those the same terms count merge into one variable.  ``count_bounds_prob``
 takes rows of per-term (lo, hi) bounds, sums over the pruned assignments
 of the shared variables, takes each term's private variable in closed
 form, and multiplies the factors in canonical order from per-rule tables.
+A cdf factor P(N <= k) is the finite sum of its pmfs up to k =
+``_CDF_SUM_MAX``, and scipy's incomplete gamma above; a pmf factor keeps
+the log form exp(k log mu - mu - log k!), whose bits the tests pin.
 The order-statistic, joint-count and void evaluators wrap it, and so does
 the exact finite-n void identity of the one-factor model: -log Phi of the
 factor-shifted level in place of g, each atom's class counts in place of
@@ -102,10 +105,33 @@ def g_intensity(gamma: float, x, z):
     return out if out.ndim else float(out)
 
 
+#: highest count whose Poisson cdf is a finite sum: one exp and 3k passes
+#: over the points cost less than scipy's incomplete gamma up to k near 40
+_CDF_SUM_MAX = 32
+
+
 def _poisson_pmf(k: int, mu: np.ndarray) -> np.ndarray:
     """Poisson pmf with the 0^0 = 1 convention at mu = 0."""
+    if k == 0:  # bit for bit exp(xlogy(0, mu) - mu - gammaln(1))
+        return np.exp(-mu)
     log_pmf = special.xlogy(k, mu) - mu - special.gammaln(k + 1)
     return np.exp(log_pmf, out=log_pmf)
+
+
+def _poisson_cdf(k: int, mu: np.ndarray) -> np.ndarray:
+    """P(Poisson(mu) <= k).  Up to ``_CDF_SUM_MAX`` it is the sum of the
+    pmfs e^-mu mu^j / j!, j <= k, each term from the last in place: no term
+    exceeds 1, and where e^-mu underflows (mu > 745) the cdf is below
+    e^-600.  Larger k goes to scipy's incomplete gamma."""
+    if not 0 <= k <= _CDF_SUM_MAX:
+        return special.pdtr(k, mu)
+    total = np.exp(-mu)
+    term = total.copy()
+    for j in range(1, int(k) + 1):
+        term *= mu
+        term /= j
+        total += term
+    return total
 
 
 def _clip_prob(value):
@@ -258,7 +284,7 @@ def count_bounds_prob(params: LimitLawParams, cells: CountCells, bounds, weights
             if key not in table:
                 mu = reduce(add, (weight[atom, which] * (at[bottom] - at[top])
                                   for atom, which, top, bottom in cells.variables[v][1]))
-                table[key] = _poisson_pmf(k, mu) if kind == "pmf" else special.pdtr(k, mu)
+                table[key] = _poisson_pmf(k, mu) if kind == "pmf" else _poisson_cdf(k, mu)
             left[key] -= 1
             return table[key] if left[key] else table.pop(key)
 

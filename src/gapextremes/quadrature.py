@@ -126,20 +126,18 @@ def rule_for(law: LambdaLaw, n_z: int, n_lambda: int, steps: tuple) -> Quadratur
     )
 
 
-def converge(law: LambdaLaw, evaluate, steps: tuple, shape: tuple = ()):
+def converge(law: LambdaLaw, evaluate, steps: tuple, shape: tuple):
     """Evaluate ``evaluate(rule)`` under node doubling, from
     ``DEFAULT_NODES`` up to ``MAX_NODES``, until stable; ``steps`` are
     handed to ``rule_for``.
 
-    Returns the finer of the first pair of answers within
-    ``CONVERGENCE_TOL`` of each other.  A nonempty ``shape`` makes it a
-    batch of that many independent integrals: that test runs per element,
-    each element keeps its own first stable answer, doubling stops once
-    every element has settled, and the result is a float array of that
-    shape.  Every rule names the pending elements by their flat indices in
-    ``rule.rows`` (all of them on the first rule), and ``evaluate`` returns
-    the values of just those.  A scalar ``evaluate`` gives a float.
-    Atomic fraction laws only ever escalate the z rule.
+    ``shape`` is that of a batch of independent integrals.  Each element
+    keeps the finer of its own first pair of answers within
+    ``CONVERGENCE_TOL`` of each other, doubling stops once every element
+    has settled, and the result is a float array of that shape.  Every
+    rule names the pending elements by their flat indices in ``rule.rows``
+    (all of them on the first rule), and ``evaluate`` returns the values
+    of just those.  Atomic fraction laws only ever escalate the z rule.
     """
     rows = np.arange(math.prod(shape))
     previous, result = np.full(rows.size, np.nan), np.empty(rows.size)
@@ -152,10 +150,9 @@ def converge(law: LambdaLaw, evaluate, steps: tuple, shape: tuple = ()):
         previous[rows] = current
         rows = rows[~settled]
         if not rows.size:
-            return result.reshape(shape) if shape else float(result[0])
+            return result.reshape(shape)
         m *= 2
-    unsettled = f", {rows.size} of {result.size} elements unsettled" if shape else ""
     raise QuadratureConvergenceError(
         f"integral did not stabilize to {CONVERGENCE_TOL:g} by the rule of "
-        f"{rule.describe()}{unsettled}"
+        f"{rule.describe()}, {rows.size} of {result.size} elements unsettled"
     )

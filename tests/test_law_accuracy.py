@@ -12,12 +12,14 @@ import math
 import pytest
 from scipy import integrate, special
 
+from gapextremes import limit_laws
 from gapextremes.errors import QuadratureConvergenceError
 from gapextremes.lambdalaw import LambdaLaw
 from gapextremes.limit_laws import (
     LimitLawParams,
     joint_maxima_cdf,
     locations_heights_cdf,
+    order_stats_vs_all_cdf,
     void_probability_intervals,
 )
 from pairs import pair_cdf
@@ -111,6 +113,27 @@ def test_void_cells_match_quad(gamma):
             steps = _limit_steps(gamma, *(v for _, a, b in cells for v in (a, b)))
             got = void_probability_intervals(params, cells)
             errors.append(abs(got - _expect_z(fn, steps)))
+    assert all(e < TOL for e in errors), max(errors)  # a NaN fails too
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_rank_above_the_cdf_sum_matches_quad(gamma):
+    # an overall rank past the finite Poisson sum takes scipy's incomplete
+    # gamma.  Given (lam, xi) and y < x: no observed exceedance of u_n(x)
+    # and at most m - 1 exceedances of u_n(y) overall has probability
+    # exp(-lam g(x)) P(Poisson(g(y) - lam g(x)) <= m - 1)
+    m = limit_laws._CDF_SUM_MAX + 3
+    p = 0.5
+    params = LimitLawParams(gamma, LambdaLaw.point(p))
+    errors = []
+    for x, y in ((0.0, -3.5), (2.0, -4.0), (-2.0, -3.0)):
+
+        def fn(z):
+            gx, gy = _g(gamma, x, z), _g(gamma, y, z)
+            return math.exp(-p * gx) * special.gammaincc(m, gy - p * gx)
+
+        got = order_stats_vs_all_cdf(params, "observed", 1, m, x, y)
+        errors.append(abs(got - _expect_z(fn, _limit_steps(gamma, x, y))))
     assert all(e < TOL for e in errors), max(errors)  # a NaN fails too
 
 

@@ -276,6 +276,18 @@ def test_pmf_marginalizes_to_low_level_counts():
         assert total == pytest.approx(ref, abs=1e-9)
 
 
+SUM_MAX = limit_laws._CDF_SUM_MAX
+
+
+@pytest.mark.filterwarnings("error")  # an overflow or a 0 * inf fails the test
+@pytest.mark.parametrize("k", [0, 1, 2, 4, SUM_MAX, SUM_MAX + 1, 200])
+def test_poisson_cdf_matches_incomplete_gamma(k):
+    mu = np.array([0.0, 5e-324, 1e-12, 1.0, 50.0, 573.0, 744.0, 746.0, 1e5, 1e300])
+    got = limit_laws._poisson_cdf(k, mu)
+    assert got.shape == mu.shape
+    assert np.all(np.abs(got - special.pdtr(k, mu)) <= 1e-14)  # a NaN fails too
+
+
 # ---------------------------------------------------------------------------
 # void probabilities
 
@@ -419,7 +431,7 @@ def _pmf_one_cell_quadrature(params, measure, x, y, k1, k2, k3, k4):
 
     # the batch's z rule: aligned to the step of each level
     steps = () if params.gamma == 0.0 else tuple(g_step(params.gamma, v) for v in (lo, hi))
-    return min(max(converge(params.lambda_law, evaluate, steps=steps), 0.0), 1.0)
+    return min(max(converge(params.lambda_law, evaluate, steps=steps, shape=(1,))[0], 0.0), 1.0)
 
 
 @pytest.mark.parametrize("params", [POINT_HALF, MIXED, BETA_HALF])

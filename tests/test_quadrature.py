@@ -37,7 +37,7 @@ def test_converge_returns_stable_value():
         return rule.expect(np.exp(-lam * np.exp(-1.0 + math.sqrt(2.0) * rule.z)))
 
     step = (g_step(1.0, 0.0),)
-    value = converge(law, evaluate, steps=step)
+    value = converge(law, evaluate, steps=step, shape=(1,))[0]
     finer = evaluate(rule_for(law, 512, 512, steps=step))
     assert value == pytest.approx(finer, abs=1e-9)
 
@@ -50,7 +50,7 @@ def test_converge_escalates_then_errors():
         return float(len(calls))  # changes every time
 
     with pytest.raises(QuadratureConvergenceError):
-        converge(LambdaLaw.point(0.5), never_stable, steps=())
+        converge(LambdaLaw.point(0.5), never_stable, steps=(), shape=(1,))
     assert calls == [64, 128, 256, 512]
 
 
@@ -92,14 +92,6 @@ def test_converge_elementwise_stops_once_all_settled():
     value = converge(LambdaLaw.uniform(0, 1), evaluate, steps=(), shape=(1, 2))
     assert value.shape == (1, 2) and value.tolist() == [[0.5, 0.25]]
     assert seen == [64, 128, 256]
-
-
-def test_converge_scalar_returns_python_float():
-    def evaluate(rule):
-        return rule.expect(np.exp(-np.exp(rule.z)))
-
-    value = converge(LambdaLaw.point(1.0), evaluate, steps=())
-    assert type(value) is float
 
 
 def test_converge_one_unsettled_element_raises():
@@ -171,13 +163,13 @@ def test_converge_passes_steps_to_every_rule():
         seen.append((rule.n_z, rule.steps, rule.z.size))
         return float(len(seen) > 1)
 
-    converge(LambdaLaw.point(0.5), evaluate, steps=((0.3, 0.2),))
+    converge(LambdaLaw.point(0.5), evaluate, steps=((0.3, 0.2),), shape=(1,))
     assert seen == [(64, ((0.3, 0.2),), 144), (128, ((0.3, 0.2),), 288), (256, ((0.3, 0.2),), 576)]
 
 
 def test_converge_rejects_a_return_of_other_rows():
-    # a batch evaluation returns just the pending rows, a scalar one value
+    # an evaluation returns just the pending rows, a one-element batch one value
     with pytest.raises(ValueError):
         converge(LambdaLaw.point(0.5), lambda rule: np.zeros(3), steps=(), shape=(2,))
     with pytest.raises(ValueError):
-        converge(LambdaLaw.point(0.5), lambda rule: np.zeros(2), steps=())
+        converge(LambdaLaw.point(0.5), lambda rule: np.zeros(2), steps=(), shape=(1,))
