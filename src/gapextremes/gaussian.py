@@ -1,13 +1,13 @@
 """Samplers for length-n standard Gaussian paths.
 
-Three stationary families, all with unit marginal variance:
+Two stationary families, both with unit marginal variance:
 
-* ``iid`` — independent coordinates.
 * ``one_factor`` — Y_j = sqrt(1-rho_n) Z_j + sqrt(rho_n) xi with a shared
   standard-normal factor xi and rho_n = gamma / ln n.  Conditional on xi
   the coordinates are independent, so finite-n event probabilities reduce
   to one-dimensional integrals; this makes it the reference family for
-  exact verification.
+  exact verification.  At gamma = 0 the coordinates are independent, the
+  model a config spells ``iid``.
 * ``log_decay`` — genuine stationary covariance r_k = gamma / ln(k + shift),
   whose lag-k correlation times ln k tends to gamma.  Sampled exactly by
   circulant embedding (FFT) when the embedding is positive semidefinite.
@@ -16,8 +16,7 @@ Three stationary families, all with unit marginal variance:
   Dietrich & Newsam 1997).
 
 ``sample_path`` returns the paths one stream yields, a float64 array of
-shape (paths_per_draw, n): one path for iid and one_factor, two for
-log_decay.
+shape (paths_per_draw, n): one path for one_factor, two for log_decay.
 """
 from __future__ import annotations
 
@@ -36,7 +35,7 @@ __all__ = [
     "sample_path",
 ]
 
-FAMILIES = ("iid", "one_factor", "log_decay")
+FAMILIES = ("one_factor", "log_decay")
 
 #: relative tolerance for clipping round-off negatives in the embedding spectrum
 SPECTRUM_CLIP_REL = 1e-8
@@ -65,8 +64,6 @@ class CovarianceSpec:
             raise InvalidParameterError(f"unknown family {self.family!r}")
         if not np.isfinite(self.gamma) or self.gamma < 0.0:
             raise InvalidParameterError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if self.family == "iid" and self.gamma != 0.0:
-            raise InvalidParameterError("iid family requires gamma = 0")
         if self.family == "log_decay" and not 1.0 - math.e < self.shift < math.inf:  # NaN too
             raise InvalidParameterError(
                 "log_decay shift must be finite and exceed 1 - e so ln(k + shift) is defined, "
@@ -118,9 +115,6 @@ def build_model(n: int, spec: CovarianceSpec) -> GaussianModel:
 
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got {n}")
-    if spec.family == "iid":
-        return GaussianModel(n=n, spec=spec)
-
     # log_decay: the lag correlations themselves must be valid ...
     lags = np.arange(1, n)
     r = _log_decay_correlation(spec.gamma, spec.shift, lags)
@@ -156,17 +150,13 @@ def sample_path(model: GaussianModel, stream: np.random.Generator) -> np.ndarray
     The draw order per call is fixed, so identical (model, stream state)
     yields bit-identical paths:
 
-    * iid — n standard normals, the path itself (one row);
     * one_factor — n standard normals Z, then the factor xi (one row);
     * log_decay — 2m standard normals read as m interleaved (real,
       imaginary) pairs of circulant noise, m the embedding size; the real
       and imaginary parts of its transform are the two rows.
     """
     n = model.n
-    family = model.spec.family
-    if family == "iid":
-        return stream.standard_normal((1, n))
-    if family == "one_factor":
+    if model.spec.family == "one_factor":
         values = math.sqrt(1.0 - model.rho_n) * stream.standard_normal((1, n))
         values += math.sqrt(model.rho_n) * stream.standard_normal()
         return values

@@ -218,8 +218,14 @@ def parse_event(doc: dict) -> Event:
 
 def _model(doc: dict) -> tuple[CovarianceSpec, int]:
     """Covariance spec and path length of the model section, built once to
-    fail fast on a bad (n, spec)."""
-    spec_kwargs = {"family": doc["family"], "gamma": _number(doc.get("gamma", 0.0), "gamma")}
+    fail fast on a bad (n, spec).  The family ``iid`` is read as the model
+    it equals, one_factor at gamma = 0."""
+    family, gamma = doc["family"], _number(doc.get("gamma", 0.0), "gamma")
+    if family == "iid":
+        if gamma != 0.0:
+            raise ConfigError(f"iid is one_factor at gamma = 0, got gamma = {gamma}")
+        family = "one_factor"
+    spec_kwargs = {"family": family, "gamma": gamma}
     if "shift" in doc:
         if doc["family"] != "log_decay":
             raise ConfigError("'shift' applies to the log_decay family only")
@@ -401,15 +407,17 @@ def simulate_event_counts(config: ExperimentConfig) -> np.ndarray:
 
     Counts are integers summed in chunk order, so the result does not
     depend on the worker count or on scheduling.  Chunks are whole draws
-    (a multiple of the paths per draw), so no draw is computed twice.
+    (a multiple of the paths per draw), so no draw is computed twice.  The
+    pool has at most one process per CPU, whatever ``workers`` asks for.
     """
-    if config.workers == 1:
+    workers = min(config.workers, os.cpu_count() or 1)
+    if workers == 1:
         return _simulate_range(config, 0, config.reps)
     k = config.spec.paths_per_draw
-    chunk = k * max(1, -(-config.reps // (config.workers * 4 * k)))
+    chunk = k * max(1, -(-config.reps // (workers * 4 * k)))
     los = range(0, config.reps, chunk)
     his = [min(lo + chunk, config.reps) for lo in los]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         partials = list(pool.map(_simulate_range, [config] * len(los), los, his))
     total = np.zeros(len(config.events), dtype=np.int64)
     for part in partials:

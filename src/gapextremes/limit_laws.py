@@ -220,7 +220,9 @@ def compile_counts(terms) -> CountCells:
 
 def _assignments(cells: CountCells, row):
     """One tuple of factor keys (variable, pmf or cdf, count) per admissible
-    assignment of the shared variables under one row of bounds; None past the cap."""
+    assignment of the shared variables under one row of bounds; None past the cap.
+    Every pushed entry is popped, so the search gives up as soon as the
+    entries visited and pending would pass the cap, before it pushes them."""
     n = max(cells.index, default=-1) + 1
     lo, hi = [-math.inf] * n, [math.inf] * n
     for t, (a, b) in zip(cells.index, row):
@@ -235,7 +237,7 @@ def _assignments(cells: CountCells, row):
            for t in range(n)):
         return []
     found, stack, visits = [], [(0, [0] * n, ())], 0
-    while stack and visits <= MAX_ASSIGNMENTS:
+    while stack:
         i, sums, keys = stack.pop()
         visits += 1
         if i == len(shared):
@@ -245,11 +247,14 @@ def _assignments(cells: CountCells, row):
             continue
         v, ts = shared[i], members[shared[i]]
         # a term without a private variable is settled by its last shared one
-        low = max([0] + [lo[t] - sums[t] for t in ts if last[t] == v and t not in private])
-        for c in reversed(range(int(low), int(min(hi[t] - sums[t] for t in ts)) + 1)):
+        low = int(max([0] + [lo[t] - sums[t] for t in ts if last[t] == v and t not in private]))
+        high = int(min(hi[t] - sums[t] for t in ts))
+        if visits + len(stack) + max(0, high - low + 1) > MAX_ASSIGNMENTS:
+            return None
+        for c in reversed(range(low, high + 1)):
             sums_c = [s + c if t in ts else s for t, s in enumerate(sums)]
             stack.append((i + 1, sums_c, keys + ((v, "pmf", c),)))
-    return None if visits > MAX_ASSIGNMENTS else found
+    return found
 
 
 def count_bounds_prob(params: LimitLawParams, cells: CountCells, bounds, weights=None,

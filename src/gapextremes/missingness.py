@@ -4,16 +4,17 @@ Each model produces an indicator vector eps of length n, a boolean array
 with True meaning observed, whose observed fraction S_n / n converges (in
 probability) to a possibly random limit:
 
-* ``iid_bernoulli`` — independent Bernoulli(p), constant limit p.
 * ``exchangeable`` — draw the fraction once per replication from a
-  LambdaLaw, then conditionally iid Bernoulli; random limit.
+  LambdaLaw, then conditionally iid Bernoulli; random limit.  Under a
+  point law LambdaLaw.point(p) the indicators are iid Bernoulli(p), the
+  model a config spells ``iid_bernoulli``.
 * ``periodic`` — a deterministic 0/1 word tiled to length n; constant
   limit equal to the word's density.
 
 Indicators are sampled from their own stream, independent of whatever
 stream drives the Gaussian path.  Per call, ``exchangeable`` draws its
-fraction first and then n uniforms, ``iid_bernoulli`` draws the n uniforms
-only, and ``periodic`` draws nothing.
+fraction first (a point law draws nothing) and then n uniforms, and
+``periodic`` draws nothing.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .lambdalaw import LambdaLaw
 
 __all__ = ["MissingnessModel", "sample_indicators"]
 
-_KINDS = ("iid_bernoulli", "exchangeable", "periodic")
+_KINDS = ("exchangeable", "periodic")
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,7 @@ class MissingnessModel:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise InvalidParameterError(f"unknown missingness kind {self.kind!r}")
-        if self.kind == "iid_bernoulli":
-            if self.lambda_law is None or self.lambda_law.kind != "point":
-                raise InvalidParameterError("iid_bernoulli requires a point lambda law")
-        elif self.kind == "exchangeable":
+        if self.kind == "exchangeable":
             if self.lambda_law is None:
                 raise InvalidParameterError("exchangeable requires a lambda law")
         else:
@@ -52,7 +50,8 @@ class MissingnessModel:
 
     @classmethod
     def iid_bernoulli(cls, p: float) -> "MissingnessModel":
-        return cls("iid_bernoulli", lambda_law=LambdaLaw.point(p))
+        """iid Bernoulli(p) indicators: exchangeable under the point law p."""
+        return cls.exchangeable(LambdaLaw.point(p))
 
     @classmethod
     def exchangeable(cls, law: LambdaLaw) -> "MissingnessModel":

@@ -173,8 +173,6 @@ def model_correlation(model: GaussianModel, k: int) -> float:
         raise InvalidParameterError(f"lag must satisfy 0 <= k < n={model.n}, got {k}")
     if k == 0:
         return 1.0
-    if model.spec.family == "iid":
-        return 0.0
     if model.spec.family == "one_factor":
         return model.rho_n
     return model.spec.gamma / math.log(k + model.spec.shift)

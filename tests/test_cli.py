@@ -371,6 +371,24 @@ def test_oracle_subcommand_small(tmp_path, capsys):
     assert "0 failed" in stdout
 
 
+def test_wide_count_search_gives_no_theory_at_once(tmp_path):
+    # a shared count ranging over 0..1e9 is past the assignment cap: the
+    # search stops before it pushes the range, and the row has no theory
+    doc = copy.deepcopy(CONFIG)
+    doc["targets"] = [{"id": "wide", "terms": [
+        {"type": "order_stat", "class": "observed", "k": 10**9 + 1, "x": 0.0},
+        {"type": "count", "class": "observed", "intervals": [[0, 0.5]], "x": 0.0,
+         "op": "le", "value": 10**9},
+    ]}]
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--config", str(path), "--out", str(out)]) == 0
+    (csv_name,) = [f for f in _reports_in(out) if f.endswith(".csv")]
+    header, row = (out / csv_name).read_text().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["theory_limit"] == fields["theory_finite_n"] == ""
+
+
 def test_quadrature_failure_names_the_event(tmp_path, capsys, monkeypatch):
     # with the node budget cut to the first rule nothing can settle
     monkeypatch.setattr("gapextremes.quadrature.MAX_NODES", 64)

@@ -2,6 +2,7 @@
 limiting point processes and against equivalent spellings of one event."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,3 +181,18 @@ def test_assignment_cap_gives_no_theory():
     nested = [CountTerm("all", IntervalFamily.unit(), float(x), "le", 30) for x in range(8)]
     nested.append(CountTerm("observed", IntervalFamily.unit(), 0.0, "eq", 1000))
     assert theory_limit(Event("deep", tuple(nested)), PARAMS) is None
+
+
+def test_assignment_search_stops_before_it_fills_memory():
+    # the shared observed count on (0, 0.5] ranges over 0..k: the search
+    # gives up before it pushes that range, not after
+    k = 10**6
+    ev = Event("wide", (order_stat("observed", k + 1, 0.0),
+                        _count("observed", [[0.0, 0.5]], 0.0, "le", k)))
+    tracemalloc.start()
+    try:
+        assert theory_limit(ev, PARAMS) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak

@@ -3,17 +3,29 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from gapextremes.errors import InvalidParameterError, NonEmbeddableCovarianceError
+from gapextremes.errors import ConfigError, InvalidParameterError, NonEmbeddableCovarianceError
 from gapextremes.gaussian import CovarianceSpec, build_model, sample_path
+from gapextremes.harness import parse_config
 from reference import model_correlation
 
 RHO_100_GAMMA1 = 0.21714724095162591  # 1 / ln 100, high-precision
 
 
+def _parsed_model(**model):
+    """The model section of a minimal config, parsed."""
+    return parse_config({
+        "model": model,
+        "missingness": {"kind": "periodic", "pattern": "10"},
+        "targets": [{"id": "e", "terms": [{"type": "order_stat", "class": "all", "k": 1,
+                                           "x": 0.0}]}],
+        "reps": 1,
+        "master_seed": 0,
+    })
+
+
 def test_iid_model_correlations():
-    model = build_model(100, CovarianceSpec("iid"))
+    model = build_model(100, CovarianceSpec("one_factor"))
     assert model_correlation(model, 0) == 1.0
     for k in (1, 5, 99):
         assert model_correlation(model, k) == 0.0
@@ -34,12 +46,19 @@ def test_one_factor_precondition_boundary():
 
 
 def test_iid_requires_zero_gamma():
-    with pytest.raises(InvalidParameterError):
-        CovarianceSpec("iid", gamma=0.5)
+    # iid is read as one_factor at gamma = 0, and no other gamma
+    with pytest.raises(ConfigError, match="iid is one_factor at gamma = 0"):
+        _parsed_model(family="iid", n=100, gamma=0.5)
+    with pytest.raises(ConfigError, match="'shift' applies to the log_decay family only"):
+        _parsed_model(family="iid", n=100, shift=3.0)
+    with pytest.raises(ConfigError, match="one_factor requires n >= 3"):
+        _parsed_model(family="iid", n=2)
+    with pytest.raises(InvalidParameterError, match="unknown family 'iid'"):
+        CovarianceSpec("iid")
 
 
 def test_lag_out_of_range():
-    model = build_model(50, CovarianceSpec("iid"))
+    model = build_model(50, CovarianceSpec("one_factor"))
     with pytest.raises(InvalidParameterError):
         model_correlation(model, 50)
     with pytest.raises(InvalidParameterError):
@@ -70,7 +89,7 @@ def test_log_decay_correlation_values():
 
 def test_determinism():
     for spec in (
-        CovarianceSpec("iid"),
+        CovarianceSpec("one_factor"),
         CovarianceSpec("one_factor", gamma=0.5),
         CovarianceSpec("log_decay", gamma=0.5),
     ):
@@ -82,7 +101,7 @@ def test_determinism():
 
 
 def test_iid_pooled_moments_and_lag():
-    model = build_model(100_000, CovarianceSpec("iid"))
+    model = build_model(100_000, CovarianceSpec("one_factor"))
     rng = np.random.default_rng(11)
     pooled = np.concatenate([sample_path(model, rng) for _ in range(10)]).ravel()
     n = len(pooled)
@@ -128,13 +147,17 @@ def test_one_factor_latent_regression():
 
 
 def test_one_factor_gamma_zero_matches_iid():
-    # gamma = 0 degenerates to independence; two-sample KS at the 1% level
-    one = build_model(1000, CovarianceSpec("one_factor", gamma=0.0))
-    iid = build_model(1000, CovarianceSpec("iid"))
-    rng = np.random.default_rng(3)
-    a = np.concatenate([sample_path(one, rng)[0] for _ in range(100)])
-    b = np.concatenate([sample_path(iid, rng)[0] for _ in range(100)])
-    assert stats.ks_2samp(a, b).pvalue > 0.01
+    # the iid spelling parses into one_factor at gamma = 0, the same config;
+    # its paths are bit for bit the first n normals of each stream, the
+    # draws of an independent sampler (xi enters times sqrt(0) = 0)
+    iid = _parsed_model(family="iid", n=1000)
+    one = _parsed_model(family="one_factor", n=1000, gamma=0)
+    assert iid == one and iid.hash() == one.hash()
+    model = iid.build_model()
+    assert model.rho_n == 0.0
+    for seed in range(20):
+        path = sample_path(model, np.random.default_rng(seed))
+        assert np.array_equal(path, np.random.default_rng(seed).standard_normal((1, 1000)))
 
 
 def test_log_decay_sampling_matches_model_correlation():

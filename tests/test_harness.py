@@ -189,12 +189,45 @@ def test_compare_validates_theory():
 # engine determinism
 
 
-def test_counts_invariant_to_worker_count():
+def _cpus(monkeypatch, count):
+    """Fake the CPU count that bounds the process pool."""
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: count)
+
+
+def test_counts_invariant_to_worker_count(monkeypatch):
+    _cpus(monkeypatch, 8)  # 2 and 3 workers keep their splits on any machine
     single = simulate_event_counts(parse_config(_config(reps=600)))
     multi = simulate_event_counts(parse_config(_config(reps=600, workers=2)))
     triple = simulate_event_counts(parse_config(_config(reps=600, workers=3)))
     assert np.array_equal(single, multi)
     assert np.array_equal(single, triple)
+
+
+def test_pool_has_at_most_one_process_per_cpu(monkeypatch):
+    # a serial stand-in for the process pool records the size asked for
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    _cpus(monkeypatch, 4)
+    many = simulate_event_counts(parse_config(_config(reps=600, workers=10_000)))
+    assert sizes == [4]
+    assert np.array_equal(many, simulate_event_counts(parse_config(_config(reps=600))))
+    _cpus(monkeypatch, None)  # an unknown CPU count runs in process
+    assert np.array_equal(simulate_event_counts(parse_config(_config(reps=600, workers=3))), many)
+    assert sizes == [4]
 
 
 def test_reports_byte_identical_across_runs(tmp_path):
@@ -271,6 +304,19 @@ def test_periodic_one_factor_gets_finite_n_theory():
     row = report.rows[0]
     assert row.theory_finite_n is not None
     assert row.z_finite_n is not None
+
+
+def test_iid_periodic_is_judged_on_its_finite_n_value():
+    # iid is one_factor at gamma = 0, whose exact finite-n value applies;
+    # against the limit 0.447864 the same estimate is 7 sigma off
+    doc = _config(model={"family": "iid", "n": 1000},
+                  missingness={"kind": "periodic", "pattern": "10"},
+                  targets=BASE_CONFIG["targets"][:1], reps=20_000, master_seed=3)
+    (row,) = run_experiment(parse_config(doc)).rows
+    assert row.p_hat == 9470 / 20_000  # the draws of the independent sampler
+    assert row.theory_limit == pytest.approx(0.447864, abs=5e-7)
+    assert row.theory_finite_n == pytest.approx(0.474555, abs=5e-7)
+    assert row.z_limit > 7.0 and abs(row.z_finite_n) < 1.0 and row.passed
 
 
 def test_evaluate_theory_has_no_estimates():
@@ -365,9 +411,10 @@ def test_log_decay_two_path_draws_match_real_part_sampler_in_law():
             assert abs(a - b) / reps / se <= 4.0, (event.event_id, a, b)
 
 
-def test_log_decay_counts_invariant_to_worker_count_and_split():
+def test_log_decay_counts_invariant_to_worker_count_and_split(monkeypatch):
     # odd reps: the last draw's second path is never used, and splits at odd
     # replications cut a draw in two
+    _cpus(monkeypatch, 8)
     config = _log_decay_config(256, 7, master_seed=5)
     single = simulate_event_counts(config)
     for workers in (2, 3):

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from gapextremes.errors import InvalidParameterError
+from gapextremes.harness import parse_config
 from gapextremes.lambdalaw import LambdaLaw
 from gapextremes.missingness import (
     MissingnessModel,
@@ -32,8 +33,6 @@ def test_validation():
         MissingnessModel.periodic("")
     with pytest.raises(InvalidParameterError):
         MissingnessModel.periodic("102")
-    with pytest.raises(InvalidParameterError):
-        MissingnessModel("iid_bernoulli", lambda_law=LambdaLaw.uniform(0, 1))
     with pytest.raises(InvalidParameterError):
         sample_indicators(MissingnessModel.iid_bernoulli(0.5), 0, np.random.default_rng(0))
 
@@ -68,6 +67,28 @@ def test_limit_law():
     assert MissingnessModel.periodic("110").limit_law() == LambdaLaw.point(2.0 / 3.0)
     law = LambdaLaw.beta(2, 2)
     assert MissingnessModel.exchangeable(law).limit_law() is law
+
+
+def test_iid_bernoulli_is_exchangeable_under_a_point_law():
+    # the iid_bernoulli spelling parses into the exchangeable model of the
+    # point law, the same config, and its indicators draw no fraction
+    def parsed(missingness):
+        return parse_config({
+            "model": {"family": "one_factor", "n": 100, "gamma": 0.5},
+            "missingness": missingness,
+            "targets": [{"id": "e", "terms": [{"type": "order_stat", "class": "all", "k": 1,
+                                               "x": 0.0}]}],
+            "reps": 1,
+            "master_seed": 0,
+        })
+
+    iid = parsed({"kind": "iid_bernoulli", "p": 0.3})
+    point = parsed({"kind": "exchangeable", "lambda_law": {"kind": "point", "p": 0.3}})
+    assert iid == point and iid.hash() == point.hash()
+    assert iid.missingness == MissingnessModel.exchangeable(LambdaLaw.point(0.3))
+    for r in range(20):
+        eps = sample_indicators(iid.missingness, 1000, substream(3, r, "indicators"))
+        assert np.array_equal(eps, substream(3, r, "indicators").random(1000) < 0.3)
 
 
 def test_fixed_pattern_requires_periodic():
