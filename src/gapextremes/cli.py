@@ -17,11 +17,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple
 
 from .errors import ConfigError, GapExtremesError
-from .harness import csv_field, evaluate_theory, parse_config, run_experiment, write_report
-from .oracle_suite import counts_suite, maxima_suite
+from .harness import evaluate_theory, parse_config, report_csv, run_experiment, write_report
+from .oracle_suite import CheckRow, counts_suite, maxima_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,9 +110,7 @@ def _cmd_oracle(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, f"oracle-{seed}-{args.samples}.csv")
     with open(out_path, "w", newline="") as fh:
-        fh.write("check_id,samples,empirical,theory,z,pass\n")
-        for row in rows:
-            fh.write(",".join(map(csv_field, astuple(row))) + "\n")
+        fh.write(report_csv(CheckRow, rows))
     failures = [row for row in rows if not row.passed]
     print(f"oracle checks: {len(rows)} total, {len(failures)} failed")
     for row in failures:
@@ -131,7 +128,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except GapExtremesError as exc:
+    except (GapExtremesError, MemoryError) as exc:
+        # an allocation refused at once; the OOM killer cannot be caught
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -224,16 +224,26 @@ def _locations_theory(counts, locs, params: LimitLawParams) -> float | None:
     return limit_laws.locations_heights_cdf(params, s, h)
 
 
-def theory_finite_n(event: Event, n: int, gamma: float, pattern: np.ndarray | None) -> float | None:
+def theory_finite_n(event: Event, n: int, gamma: float, pattern) -> float | None:
     """Exact finite-n probability via the one-factor identity, for void
     events (every count at most 0) under a deterministic indicator
     pattern: the band-cell law of the event's count terms, weighted by the
-    numbers of observed and missed indices in each atom."""
+    numbers of observed and missed indices in each atom, counted from the
+    prefix sums of the 0/1 word ``pattern`` tiled to length n (None for
+    random missingness) without building the n-long pattern."""
     counts, locs = _split_terms(event)
     if pattern is None or locs or any(t.value for t in counts):
         return None
     cells = limit_laws.compile_counts([(t.which, t.family.intervals, t.x) for t in counts])
-    pattern = np.asarray(pattern).astype(bool)
-    masks = [IntervalFamily(intervals).member_mask(n) for intervals, _ in cells.atoms]
-    return limit_laws.finite_n_one_factor_prob(
-        n, gamma, cells, [(int((pattern & m).sum()), int((~pattern & m).sum())) for m in masks])
+    prefix = [0, *np.cumsum(np.asarray(pattern, dtype=bool)).tolist()]
+    period = len(prefix) - 1
+
+    def observed(m: int) -> int:  # observed indices among the first m
+        return m // period * prefix[-1] + prefix[m % period]
+
+    weights = []
+    for intervals, _ in cells.atoms:
+        ranges = IntervalFamily(intervals).index_ranges(n)
+        obs = sum(observed(hi) - observed(lo) for lo, hi in ranges)
+        weights.append((obs, sum(hi - lo for lo, hi in ranges) - obs))
+    return limit_laws.finite_n_one_factor_prob(n, gamma, cells, weights)

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParameterError
 
 __all__ = ["CLASSES", "LevelParams", "IntervalFamily", "transformed_level"]
@@ -99,9 +97,3 @@ class IntervalFamily:
         return [
             (math.floor(n * c + 1e-9), math.floor(n * d + 1e-9)) for c, d in self.intervals
         ]
-
-    def member_mask(self, n: int) -> np.ndarray:
-        mask = np.zeros(n, dtype=bool)
-        for lo, hi in self.index_ranges(n):
-            mask[lo:hi] = True
-        return mask

@@ -41,7 +41,7 @@ from .extremes import IntervalFamily
 from .gaussian import CovarianceSpec, GaussianModel, build_model, sample_path
 from .lambdalaw import LambdaLaw
 from .limit_laws import LimitLawParams
-from .missingness import MissingnessModel, fixed_pattern, sample_indicators
+from .missingness import MissingnessModel, sample_indicators
 from .streams import substream
 
 __all__ = [
@@ -55,23 +55,8 @@ __all__ = [
     "run_experiment",
     "evaluate_theory",
     "write_report",
+    "report_csv",
 ]
-
-CSV_COLUMNS = (
-    "event_id",
-    "n",
-    "gamma",
-    "lambda_law",
-    "reps",
-    "p_hat",
-    "se",
-    "theory_limit",
-    "theory_finite_n",
-    "z_limit",
-    "z_finite_n",
-    "pass",
-    "config_hash",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +416,7 @@ def simulate_event_counts(config: ExperimentConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One report row; the fields follow ``CSV_COLUMNS`` (``passed`` is the
-    ``pass`` column, and the report adds ``config_hash``)."""
+    """One report row; its fields are the report's columns."""
 
     event_id: str
     n: int
@@ -446,6 +430,7 @@ class ReportRow:
     z_limit: float | None
     z_finite_n: float | None
     passed: bool
+    config_hash: str
 
 
 @dataclass(frozen=True)
@@ -457,25 +442,32 @@ class ComparisonReport:
     def all_pass(self) -> bool:
         return all(row.passed for row in self.rows)
 
-    def _records(self) -> list[dict]:
-        """One mapping per row, keyed by ``CSV_COLUMNS`` in order."""
-        return [dict(zip(CSV_COLUMNS, (*astuple(row), self.config_hash))) for row in self.rows]
-
     def to_csv(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join(map(csv_field, rec.values())) for rec in self._records()]
-        return "\n".join(lines) + "\n"
+        return report_csv(ReportRow, self.rows)
 
     def to_json(self) -> str:
         """Strict JSON: non-finite numbers are written as null."""
         payload = {
             "config_hash": self.config_hash,
             "sigma": _json_number(self.sigma),
-            "rows": [
-                {key: _json_number(value) for key, value in rec.items()} for rec in self._records()
-            ],
+            "rows": [dict(zip(_columns(ReportRow), map(_json_number, astuple(row))))
+                     for row in self.rows],
         }
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _columns(row_type) -> tuple[str, ...]:
+    """The report columns of a row dataclass: its fields in order, with
+    ``passed`` written as ``pass``."""
+    return tuple("pass" if f.name == "passed" else f.name for f in fields(row_type))
+
+
+def report_csv(row_type, rows) -> str:
+    """The CSV report of ``rows``, instances of the dataclass ``row_type``:
+    a header of its columns, then one line per row."""
+    lines = [",".join(_columns(row_type))]
+    lines += [",".join(map(_csv_field, astuple(row))) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _json_number(value):
@@ -484,7 +476,7 @@ def _json_number(value):
     return value
 
 
-def csv_field(value) -> str:
+def _csv_field(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (str, int)):
@@ -501,8 +493,8 @@ def _event_theory(config: ExperimentConfig, event: Event) -> tuple[float | None,
     finite = None
     try:
         limit = theory_limit(event, params)
-        if config.spec.family == "one_factor" and config.missingness.kind == "periodic":
-            pattern = fixed_pattern(config.missingness, config.n)
+        if config.spec.family == "one_factor":
+            pattern = config.missingness.pattern  # None exactly when exchangeable
             finite = theory_finite_n(event, config.n, config.spec.gamma, pattern)
     except QuadratureConvergenceError as exc:
         raise QuadratureConvergenceError(f"event {event.event_id!r}: {exc}") from exc
@@ -527,7 +519,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
 def _report(config: ExperimentConfig, counts: np.ndarray | None) -> ComparisonReport:
     """Report rows of the config's events, with estimates and z-scores when
     hit ``counts`` are given."""
-    law = config.missingness.limit_law().describe()
+    law, config_hash = config.missingness.limit_law().describe(), config.hash()
     rows = []
     for i, event in enumerate(config.events):
         limit, finite = _event_theory(config, event)
@@ -554,9 +546,10 @@ def _report(config: ExperimentConfig, counts: np.ndarray | None) -> ComparisonRe
                 z_limit=z_limit,
                 z_finite_n=z_finite,
                 passed=passed,
+                config_hash=config_hash,
             )
         )
-    return ComparisonReport(rows=tuple(rows), config_hash=config.hash(), sigma=config.sigma)
+    return ComparisonReport(rows=tuple(rows), config_hash=config_hash, sigma=config.sigma)
 
 
 def write_report(report: ComparisonReport, out_dir: str, name: str) -> tuple[str, str]:

@@ -395,7 +395,7 @@ def finite_n_one_factor_prob(n: int, gamma: float, cells: CountCells, counts) ->
     level per class.
     """
     n = int(n)
-    LevelParams.for_length(n)  # n >= 3
+    norming = LevelParams.for_length(n)  # n >= 3
     if gamma < 0.0 or gamma >= math.log(n):
         raise InvalidParameterError(f"need 0 <= gamma < ln n, got gamma={gamma}, n={n}")
     counts = [(int(no), int(nm)) for no, nm in counts]
@@ -405,7 +405,7 @@ def finite_n_one_factor_prob(n: int, gamma: float, cells: CountCells, counts) ->
         raise InvalidParameterError("cell counts must be nonnegative")
     if sum(no + nm for no, nm in counts) > n:
         raise InvalidParameterError("total cell counts exceed the path length")
-    rho, t0, norming = gamma / math.log(n), -special.ndtri(1.0 / n), LevelParams.for_length(n)
+    rho, t0 = gamma / math.log(n), -special.ndtri(1.0 / n)
     # caps -log Phi at -inf levels: a class without indices adds 0, not
     # 0 * inf, and n indices at the cap still sum to a finite mean
     cap = np.finfo(float).max / (n + 1)

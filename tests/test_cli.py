@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import os
 import pytest
 
 from gapextremes.cli import main
+from gapextremes.oracle_suite import CheckRow
 
 CONFIG = {
     "model": {"family": "one_factor", "n": 200, "gamma": 0.5},
@@ -366,6 +368,8 @@ def test_oracle_subcommand_small(tmp_path, capsys):
     with open(os.path.join(out, "oracle-1-30000.csv")) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "check_id,samples,empirical,theory,z,pass"
+    columns = ["pass" if f.name == "passed" else f.name for f in dataclasses.fields(CheckRow)]
+    assert lines[0].split(",") == columns
     assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"true"}
     stdout = capsys.readouterr().out
     assert "0 failed" in stdout
@@ -409,3 +413,17 @@ def test_quadrature_failure_names_the_event(tmp_path, capsys, monkeypatch):
         "error: event 'os_obs': integral did not stabilize to 1e-10 by the rule of ")
     assert err.count("event ") == 1
     assert "Gauss-Legendre z panels of 8 nodes x 1 fraction nodes, 1 of 1 elements unsettled" in err
+
+
+def test_simulation_beyond_the_address_space_exits_2(tmp_path, capsys):
+    # one path of 1e17 float64 values is 8e17 bytes, more than any x86-64
+    # user address space (2^57 bytes with five-level paging), so the block
+    # buffer's allocation fails at once under any overcommit setting; a
+    # size that fits would be left to the OOM killer, which cannot be caught
+    doc = copy.deepcopy(CONFIG)
+    doc["model"] = {"family": "one_factor", "n": 10**17, "gamma": 0.5}
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -161,13 +161,16 @@ FINITE_N_EDGES = {
 @pytest.mark.parametrize("word", ["1", "0", "10"])
 @pytest.mark.parametrize("terms", FINITE_N_EDGES.values(), ids=FINITE_N_EDGES)
 def test_finite_n_void_edges_match_quad(terms, word, gamma):
-    n = 101
-    pattern = fixed_pattern(MissingnessModel.periodic(word), n)
+    n = 101  # a partial last period for the word "10"
+    model = MissingnessModel.periodic(word)
+    pattern = fixed_pattern(model, n)
     expected = finite_n_void_prob(n, gamma, pattern, terms)
     for op in ("eq", "le"):
         ev = Event("v", tuple(_count(which, iv, x, op, 0) for which, iv, x in terms))
         got = theory_finite_n(ev, n, gamma, pattern)
         assert abs(got - expected) < 1e-9, (op, got, expected)  # a NaN fails too
+        # the bare word counts the same indices as the word tiled to n
+        assert theory_finite_n(ev, n, gamma, model.pattern) == got
 
 
 def test_assignment_cap_gives_no_theory():

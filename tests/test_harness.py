@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,13 +281,24 @@ def test_report_shape_and_theory_columns(tmp_path):
     assert payload["rows"][0]["pass"] in (True, False)
 
 
+def test_report_columns_are_the_row_fields():
+    report = run_experiment(parse_config(_config(reps=100)))
+    columns = ["pass" if f.name == "passed" else f.name for f in dataclasses.fields(ReportRow)]
+    assert columns[-1] == "config_hash"
+    assert report.to_csv().split("\n")[0].split(",") == columns
+    # the JSON mirror writes its keys sorted
+    rows = json.loads(report.to_json())["rows"]
+    assert len(rows) == 2 and all(list(row) == sorted(columns) for row in rows)
+
+
 def test_json_report_writes_nonfinite_as_null():
     # z is still infinite when the theory is 0 or 1 and the estimate differs
     rec = estimate_from_count("e", 3, 10)
     z_hi, _ = compare_estimates(rec, 0.0)
     z_lo = -z_hi
     rows = tuple(
-        ReportRow("e", 10, 0.0, "point(1)", 10, rec.p_hat, rec.se, 0.0, None, z, None, False)
+        ReportRow("e", 10, 0.0, "point(1)", 10, rec.p_hat, rec.se, 0.0, None, z, None, False,
+                  "abc")
         for z in (z_hi, z_lo)
     )
     text = ComparisonReport(rows=rows, config_hash="abc", sigma=4.0).to_json()
@@ -317,6 +330,33 @@ def test_iid_periodic_is_judged_on_its_finite_n_value():
     assert row.theory_limit == pytest.approx(0.447864, abs=5e-7)
     assert row.theory_finite_n == pytest.approx(0.474555, abs=5e-7)
     assert row.z_limit > 7.0 and abs(row.z_finite_n) < 1.0 and row.passed
+
+
+def _periodic_void(n):
+    """one_factor at gamma = 1 under the periodic word "110", with the void
+    event joint_max: an exact finite-n value at any n."""
+    return parse_config(_config(model={"family": "one_factor", "n": n, "gamma": 1.0},
+                                missingness={"kind": "periodic", "pattern": "110"},
+                                targets=BASE_CONFIG["targets"][:1]))
+
+
+def test_finite_n_theory_memory_does_not_grow_with_n():
+    # the atoms' index counts come from the word, not from an n-long pattern
+    # (tiled, the pattern and its masks held 57 MB at n = 1e7)
+    config = _periodic_void(10**7)
+    tracemalloc.start()
+    try:
+        (row,) = evaluate_theory(config).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < row.theory_finite_n < 1.0
+    assert peak < 2 * 2**20, peak
+
+
+def test_finite_n_theory_at_a_path_length_beyond_memory():
+    (row,) = evaluate_theory(_periodic_void(10**12)).rows
+    assert 0.0 < row.theory_finite_n < 1.0
 
 
 def test_evaluate_theory_has_no_estimates():
