@@ -13,6 +13,7 @@ runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -23,7 +24,11 @@ from .harness import evaluate_theory, parse_config, report_csv, run_experiment, 
 from .oracle_suite import CheckRow, counts_suite, maxima_suite
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, and a process that calls ``main`` many times would
+    otherwise pay about a millisecond per call to build it."""
     parser = argparse.ArgumentParser(
         prog="gapextremes",
         description="Monte Carlo and limit-law verification for extremes of "

@@ -61,6 +61,18 @@ def transformed_level(n: int, x: float, z, gamma: float):
     return (lp.level(x) - math.sqrt(rho) * z) / math.sqrt(1.0 - rho)
 
 
+#: 1e-9 as the ratio of integers its float equals
+_NUDGE = (1e-9).as_integer_ratio()
+
+
+def _index_floor(n: int, c: float) -> int:
+    """floor(n c + 1e-9), exact in integers: beyond n = 2^53 the float
+    product would round off the last indices.  The tiny nudge keeps the
+    floor stable when n c is an integer up to float rounding (0.3 * 10)."""
+    (p, q), (a, b) = c.as_integer_ratio(), _NUDGE
+    return (n * p * b + a * q) // (q * b)
+
+
 @dataclass(frozen=True)
 class IntervalFamily:
     """Finite disjoint union of half-open subintervals of (0, 1].
@@ -92,8 +104,4 @@ class IntervalFamily:
 
     def index_ranges(self, n: int) -> list[tuple[int, int]]:
         """0-based half-open [lo, hi) ranges of member indices."""
-        # the tiny nudge keeps floor(n*c) stable when n*c is an integer up
-        # to float rounding (e.g. 0.3 * 10)
-        return [
-            (math.floor(n * c + 1e-9), math.floor(n * d + 1e-9)) for c, d in self.intervals
-        ]
+        return [(_index_floor(n, c), _index_floor(n, d)) for c, d in self.intervals]

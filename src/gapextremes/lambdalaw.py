@@ -11,13 +11,45 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+# imported, not reached as np.polynomial: numpy would load it lazily, inside
+# the first theory evaluation instead of at start-up
+from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidParameterError
 
 __all__ = ["LambdaLaw"]
 
 _KINDS = ("point", "discrete", "uniform", "beta")
+
+
+def _beta_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule with ``n`` nodes for the Beta(alpha, beta) law on [0, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    monic Jacobi polynomials with weight (1-x)^a (1+x)^b on [-1, 1], mapped
+    by x -> (x+1)/2, where the density u^(alpha-1) (1-u)^(beta-1) needs
+    a = beta-1 and b = alpha-1.  Each weight is the reciprocal of the
+    Christoffel sum of the squared orthonormal polynomials at its node.
+    """
+    a, b = beta - 1.0, alpha - 1.0
+    s, k = a + b, np.arange(1.0, n)
+    c = 2.0 * k + s
+    diag = np.empty(n)
+    diag[0] = (b - a) / (s + 2.0)  # the general form is 0/0 at s = 0
+    diag[1:] = (b * b - a * a) / (c * (c + 2.0))
+    off = np.empty(n - 1)
+    off[:1] = 4.0 * (1.0 + a) * (1.0 + b) / ((s + 2.0) ** 2 * (s + 3.0))  # 0/0 at s = -1
+    k, c = k[1:], c[1:]
+    off[1:] = 4.0 * k * (k + a) * (k + b) * (k + s) / (c * c * (c + 1.0) * (c - 1.0))
+    diag, off = 0.5 * (diag + 1.0), 0.5 * np.sqrt(off)
+    u = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    lower = np.concatenate(([0.0], off))
+    prev, cur, total = np.zeros(n), np.ones(n), np.ones(n)
+    for j in range(n - 1):
+        prev, cur = cur, ((u - diag[j]) * cur - lower[j] * prev) / off[j]
+        total += cur * cur
+    w = 1.0 / total
+    return u, w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -105,13 +137,9 @@ class LambdaLaw:
             return np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
         if self.kind == "uniform":
             a, b = self.params
-            t, w = np.polynomial.legendre.leggauss(n)
+            t, w = leggauss(n)
             return 0.5 * (b - a) * t + 0.5 * (b + a), w / w.sum()
-        alpha, beta = self.params
-        # roots_jacobi weight (1-x)^a (1+x)^b on [-1,1]; map x -> (x+1)/2 so the
-        # density u^(alpha-1) (1-u)^(beta-1) needs a=beta-1, b=alpha-1.
-        x, w = special.roots_jacobi(n, beta - 1.0, alpha - 1.0)
-        return 0.5 * (x + 1.0), w / w.sum()
+        return _beta_rule(n, *self.params)
 
     def describe(self) -> str:
         """Short human/CSV-friendly rendering, e.g. ``point(0.5)``."""

@@ -46,9 +46,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidParameterError
 from .extremes import CLASSES, LevelParams, transformed_level
@@ -112,9 +112,10 @@ _CDF_SUM_MAX = 32
 
 def _poisson_pmf(k: int, mu: np.ndarray) -> np.ndarray:
     """Poisson pmf with the 0^0 = 1 convention at mu = 0."""
-    if k == 0:  # bit for bit exp(xlogy(0, mu) - mu - gammaln(1))
+    if k == 0:  # bit for bit exp(0 * log(mu) - mu - lgamma(1)), mu = 0 too
         return np.exp(-mu)
-    log_pmf = special.xlogy(k, mu) - mu - special.gammaln(k + 1)
+    with np.errstate(divide="ignore"):  # log 0 = -inf gives pmf 0
+        log_pmf = k * np.log(mu) - mu - math.lgamma(k + 1)
     return np.exp(log_pmf, out=log_pmf)
 
 
@@ -122,9 +123,12 @@ def _poisson_cdf(k: int, mu: np.ndarray) -> np.ndarray:
     """P(Poisson(mu) <= k).  Up to ``_CDF_SUM_MAX`` it is the sum of the
     pmfs e^-mu mu^j / j!, j <= k, each term from the last in place: no term
     exceeds 1, and where e^-mu underflows (mu > 745) the cdf is below
-    e^-600.  Larger k goes to scipy's incomplete gamma."""
+    e^-600.  Larger k goes to scipy's incomplete gamma, imported here
+    only: importing ``scipy.special`` costs a process 0.2 s or more."""
     if not 0 <= k <= _CDF_SUM_MAX:
-        return special.pdtr(k, mu)
+        from scipy.special import pdtr
+
+        return pdtr(k, mu)
     total = np.exp(-mu)
     term = total.copy()
     for j in range(1, int(k) + 1):
@@ -132,6 +136,35 @@ def _poisson_cdf(k: int, mu: np.ndarray) -> np.ndarray:
         term /= j
         total += term
     return total
+
+
+#: below this level log Phi is its asymptotic series, as in scipy's log_ndtr;
+#: the first omitted term, 25!! / 20^26, is below 1e-20
+_LOG_NDTR_SERIES_BELOW = -20.0
+_LOG_NDTR_SERIES_TERMS = 12
+
+
+def _log_ndtr(t: np.ndarray) -> np.ndarray:
+    """log Phi(t), elementwise: log(Q) at t <= 0 and log1p(-Q) above, with
+    the normal tail Q = erfc(|t| / sqrt 2) / 2, and far below 0
+    -t^2/2 - log(-t sqrt(2 pi)) + log(1 - 1/t^2 + 3/t^4 - ...), so
+    -inf maps to -inf and +inf to 0."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    far = t < _LOG_NDTR_SERIES_BELOW
+    if far.any():
+        u = t[far]
+        r, series = 1.0 / (u * u), np.ones_like(u)
+        for j in range(_LOG_NDTR_SERIES_TERMS, 0, -1):  # Horner in 1/t^2
+            series = 1.0 - (2 * j - 1) * r * series
+        out[far] = -0.5 * u * u - np.log(-u * math.sqrt(2.0 * math.pi)) + np.log(series)
+    near = ~far
+    t = t[near]
+    tail = np.fromiter(map(math.erfc, (np.abs(t) * math.sqrt(0.5)).tolist()), float, t.size)
+    tail *= 0.5
+    with np.errstate(divide="ignore"):  # the unused log(Q) where Q underflows
+        out[near] = np.where(t > 0.0, np.log1p(-tail), np.log(tail))
+    return out
 
 
 def _clip_prob(value):
@@ -405,13 +438,13 @@ def finite_n_one_factor_prob(n: int, gamma: float, cells: CountCells, counts) ->
         raise InvalidParameterError("cell counts must be nonnegative")
     if sum(no + nm for no, nm in counts) > n:
         raise InvalidParameterError("total cell counts exceed the path length")
-    rho, t0 = gamma / math.log(n), -special.ndtri(1.0 / n)
+    rho, t0 = gamma / math.log(n), -NormalDist().inv_cdf(1.0 / n)
     # caps -log Phi at -inf levels: a class without indices adds 0, not
     # 0 * inf, and n indices at the cap still sum to a finite mean
     cap = np.finfo(float).max / (n + 1)
 
     def neg_log_phi(g, x, z):
-        return np.minimum(-special.log_ndtr(transformed_level(n, x, z, g)), cap)
+        return np.minimum(-_log_ndtr(transformed_level(n, x, z, g)), cap)
 
     def step(_, x):
         # n (1 - Phi(t)) = 1 at t0, and falls by e every 1 / t0 past it

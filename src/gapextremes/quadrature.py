@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureConvergenceError
 from .lambdalaw import LambdaLaw
@@ -53,9 +54,9 @@ def _frozen(*arrays):
 
 @lru_cache(maxsize=None)
 def _legendre_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
-    # numpy's rule, as the uniform fraction law's: scipy's first root
-    # finder call costs a process about 50 ms
-    return _frozen(*np.polynomial.legendre.leggauss(k))
+    # numpy's rule, as the uniform fraction law's: no rule of the program
+    # comes from scipy.special, whose import costs a process 0.2 s or more
+    return _frozen(*leggauss(k))
 
 
 def _stepped_nodes(m: int, steps: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -64,7 +65,8 @@ def _stepped_nodes(m: int, steps: tuple) -> tuple[np.ndarray, np.ndarray]:
         return _frozen(np.zeros(1), np.ones(1))
     cuts = np.linspace(-Z_EDGE, Z_EDGE, PANELS + 1).tolist()
     cuts += [c + j * w for c, w in steps for j in STEP_OFFSETS]
-    cuts = np.unique(np.clip(cuts, -Z_EDGE, Z_EDGE))
+    # a set, not np.unique, which imports numpy.ma (10 ms) on its first call
+    cuts = np.array(sorted({min(max(c, -Z_EDGE), Z_EDGE) for c in cuts}))
     t, wt = _legendre_nodes(m // PANELS)
     half, mid = np.diff(cuts)[:, None] / 2.0, (cuts[1:] + cuts[:-1])[:, None] / 2.0
     z = (mid + half * t).ravel()

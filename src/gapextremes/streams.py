@@ -15,6 +15,9 @@ import functools
 import hashlib
 
 import numpy as np
+# imported, not reached as np.random: numpy would load it lazily, inside
+# the first simulation instead of at start-up
+from numpy.random import PCG64, Generator, SeedSequence
 
 __all__ = ["label_key", "substream"]
 
@@ -38,7 +41,7 @@ def _label_words(label: str) -> bytes:
     return _words(label_key(label))
 
 
-def substream(master_seed: int, replication: int, label: str) -> np.random.Generator:
+def substream(master_seed: int, replication: int, label: str) -> Generator:
     """Generator for one (replication, component) cell of an experiment;
     for ``"path"`` streams ``replication`` is the draw index.
 
@@ -48,5 +51,5 @@ def substream(master_seed: int, replication: int, label: str) -> np.random.Gener
     ``[master_seed, replication, label_key(label)]``, built here directly.
     """
     words = _words(int(master_seed)) + _words(int(replication)) + _label_words(label)
-    seq = np.random.SeedSequence(np.frombuffer(words, dtype="<u4"))
-    return np.random.Generator(np.random.PCG64(seq))
+    seq = SeedSequence(np.frombuffer(words, dtype="<u4"))
+    return Generator(PCG64(seq))

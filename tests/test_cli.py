@@ -3,10 +3,13 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
-from gapextremes.cli import main
+import gapextremes
+from gapextremes.cli import build_parser, main
 from gapextremes.oracle_suite import CheckRow
 
 CONFIG = {
@@ -73,6 +76,49 @@ def test_flag_overrides_change_hash(config_path, tmp_path):
     assert main(["verify", "--config", config_path, "--out", out, "--seed", "123"]) == 0
     # different master seed -> different config hash -> distinct files
     assert len(_reports_in(out)) == 4
+
+
+def test_cached_parser_parses_like_a_fresh_one(config_path):
+    assert build_parser() is build_parser()
+    argvs = [["verify", "--config", config_path, "--seed", "5", "--sigma", "3"],
+             ["oracle", "--samples", "100", "--out", "x"],
+             ["evaluate", "--config", config_path, "--workers", "2"],
+             ["simulate", "--config", config_path],
+             ["oracle"]]
+    for argv in argvs + argvs[::-1]:
+        fresh = build_parser.__wrapped__().parse_args(argv)
+        assert vars(build_parser().parse_args(argv)) == vars(fresh)
+
+
+def test_consecutive_main_calls_do_not_share_flags(config_path, tmp_path):
+    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["verify", "--config", config_path, "--out", out_a]) == 0
+    assert main(["evaluate", "--config", config_path, "--seed", "7", "--sigma", "0.5",
+                 "--workers", "2", "--out", str(tmp_path / "x")]) == 0
+    assert main(["oracle", "--samples", "20000", "--seed", "3", "--out", str(tmp_path / "y")]) == 0
+    assert main(["verify", "--config", config_path, "--out", out_b]) == 0
+    assert _reports_in(out_a) == _reports_in(out_b)
+    for name in _reports_in(out_a):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_help_and_usage_errors_exit_as_argparse_does(config_path, capsys):
+    for _ in range(2):  # the second call sees the cached parser
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: gapextremes ") and "{evaluate,simulate,verify,oracle}" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gapextremes verify ")
+        assert "the following arguments are required: --config" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--config", config_path, "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 def test_config_errors_exit_2(tmp_path):
@@ -427,3 +473,38 @@ def test_simulation_beyond_the_address_space_exits_2(tmp_path, capsys):
     assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_commands_leave_scipy_special_unimported(tmp_path):
+    # importing scipy.special costs a process 0.2 s or more, most of a short
+    # verify run; only a Poisson cdf factor of a rank above 32 may import it
+    pmf = {"type": "count", "class": "observed", "intervals": [[0, 1]], "x": 0.0,
+           "op": "eq", "value": 2}
+    docs = {"periodic": CONFIG}
+    for name, law in (("beta22", {"kind": "beta", "alpha": 2.0, "beta": 2.0}),
+                      ("uniform", {"kind": "uniform", "a": 0.0, "b": 1.0})):
+        docs[name] = copy.deepcopy(CONFIG)
+        docs[name]["missingness"] = {"kind": "exchangeable", "lambda_law": law}
+        docs[name]["targets"].append({"id": "pmf", "terms": [pmf]})
+    docs["uniform"]["reps"] = 500
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
+    out = str(tmp_path / "out")
+    commands = [["evaluate", "--config", paths["beta22"], "--out", out],
+                ["evaluate", "--config", paths["periodic"], "--out", out],
+                ["verify", "--config", paths["uniform"], "--out", out],
+                ["oracle", "--samples", "20000", "--seed", "1", "--out", out]]
+    script = ("import sys\n"
+              "from gapextremes.cli import main\n"
+              f"for argv in {commands!r}:\n"
+              "    assert main(argv) == 0, argv\n"
+              "assert 'scipy.special' not in sys.modules, 'scipy.special imported'\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gapextremes.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("report: ") == 7

@@ -79,6 +79,29 @@ def test_interval_membership_convention():
     assert IntervalFamily.of((0.1, 0.2)).index_ranges(1000) == [(100, 200)]
 
 
+def test_index_ranges_exact_beyond_float_precision():
+    # n c rounds in floating point past 2^53: the float form
+    # floor(n * c + 1e-9) loses the last index at both these lengths
+    for n in (2**53 + 1, 10**17 + 1):
+        assert IntervalFamily.unit().index_ranges(n) == [(0, n)]
+    for n, c in [(10**17 + 1, 0.3), (2**60 + 3, 1 / 3), (3 * 10**20 + 7, 0.7)]:
+        [(lo, hi)] = IntervalFamily.of((c, 1.0)).index_ranges(n)
+        assert (lo, hi) == (math.floor(n * Fraction(c) + Fraction(1e-9)), n)
+
+
+def test_index_ranges_equal_the_float_form_up_to_3e5():
+    ends = [0.0, 0.05, 0.1, 0.125, 0.2, 0.25, 0.3, 1 / 3, 0.4, 0.5, 0.6, 2 / 3, 0.7, 0.75,
+            0.8, 0.9, 1.0]
+    family = IntervalFamily.of(*zip(ends, ends[1:]))
+    n = np.arange(1, 300_001)
+    # the ends are integer arithmetic only, so an object array of Python
+    # ints gives every length's ends at once
+    got = family.index_ranges(n.astype(object))
+    for (lo, hi), (c, d) in zip(got, family.intervals):
+        assert np.array_equal(lo, np.floor(n * c + 1e-9))
+        assert np.array_equal(hi, np.floor(n * d + 1e-9))
+
+
 def test_exceedance_counts_basic():
     n = 10
     values = np.full(n, -10.0)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 from gapextremes.errors import InvalidParameterError
 from gapextremes.lambdalaw import LambdaLaw
@@ -67,6 +70,34 @@ def test_nodes_integrate_moments(law):
         mc = float(np.mean(np.asarray(draws) ** p))
         se = float(np.std(np.asarray(draws) ** p) / np.sqrt(200_000))
         assert abs(mc - exact) < 5 * se + 1e-12
+
+
+@pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (2.0, 3.0), (0.5, 0.5), (0.7, 3.5), (3.5, 0.7)])
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 512])
+def test_beta_nodes_match_scipy_gauss_jacobi(m, alpha, beta):
+    lam, w = LambdaLaw.beta(alpha, beta).nodes(m)
+    x, ref_w = special.roots_jacobi(m, beta - 1.0, alpha - 1.0)
+    ref_lam, ref_w = 0.5 * (x + 1.0), ref_w / ref_w.sum()
+    assert lam.shape == w.shape == (m,)
+    assert np.max(np.abs(lam - ref_lam)) <= 4e-15
+    assert (w > 0).all() and abs(w.sum() - 1.0) <= 1e-14
+    # at m = 512 and beta(0.7, 3.5) scipy's own E[exp(-5 u)] is 1e-12 from 1F1(0.7; 4.2; -5)
+    for f in (lambda u: np.cos(3.0 * u), lambda u: np.exp(-5.0 * u), np.sqrt):
+        assert abs(np.dot(w, f(lam)) - np.dot(ref_w, f(ref_lam))) <= 2e-12
+
+
+@pytest.mark.filterwarnings("error")  # the 0/0 recurrence terms at alpha + beta = 1 and 2
+@pytest.mark.parametrize("alpha,beta", [(0.3, 0.7), (0.5, 1.5), (1.0, 1.0), (0.05, 0.2)])
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 512])
+def test_beta_nodes_integrate_exact_moments(m, alpha, beta):
+    # a rule with m nodes is exact to degree 2m - 1; scipy's roots_jacobi
+    # itself strays by up to 1e-8 here at m = 512, so the moments are the
+    # reference: E[u^p] = prod_{i<p} (alpha + i) / (alpha + beta + i)
+    lam, w = LambdaLaw.beta(alpha, beta).nodes(m)
+    assert (w > 0).all() and ((lam > 0) & (lam < 1)).all()
+    for p in range(min(2 * m, 8)):
+        exact = math.prod((alpha + i) / (alpha + beta + i) for i in range(p))
+        assert abs(np.dot(w, lam**p) - exact) <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -288,6 +289,39 @@ def test_poisson_cdf_matches_incomplete_gamma(k):
     assert np.all(np.abs(got - special.pdtr(k, mu)) <= 1e-14)  # a NaN fails too
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 40, 200, 1999])
+def test_poisson_pmf_matches_xlogy_gammaln(k):
+    # lgamma may round the last bit unlike gammaln, and the log pmf then
+    # rounds by up to an ulp of its largest term: relative error 2 eps
+    # times that size, below 1e-14 while the size is below 22
+    assert limit_laws._poisson_pmf(k, np.zeros(1)).tolist() == [float(k == 0)]
+    mu = np.concatenate([[5e-324, 1e-300, 1e-12], np.geomspace(1e-6, 1e4, 2001), [744.0, 1e5]])
+    got = limit_laws._poisson_pmf(k, mu)
+    ref = np.exp(special.xlogy(k, mu) - mu - special.gammaln(k + 1))
+    size = np.abs(special.xlogy(k, mu)) + mu + math.lgamma(k + 1)
+    assert got.shape == mu.shape
+    assert np.all(np.abs(got - ref) <= 2.0 * np.finfo(float).eps * size * ref)  # a NaN fails too
+
+
+def test_log_ndtr_matches_scipy():
+    t = np.concatenate([np.linspace(-1e3, 40.0, 200_001), np.linspace(-40.0, 40.0, 100_001),
+                        [-20.0, np.nextafter(-20.0, 0.0), -0.0, 0.0, 5e-324]])
+    got = limit_laws._log_ndtr(t)
+    # past t = 37.5 the tail Q is subnormal and scipy rounds log1p(-Q) to 0
+    np.testing.assert_allclose(got, special.log_ndtr(t), rtol=1e-13, atol=1e-300)
+    assert limit_laws._log_ndtr(np.array([-np.inf, np.inf])).tolist() == [-np.inf, 0.0]
+    assert limit_laws._log_ndtr(np.empty((2, 0))).shape == (2, 0)
+    assert limit_laws._log_ndtr(np.array([[-30.0], [1.0]])).shape == (2, 1)
+
+
+def test_normal_quantile_of_one_over_n_matches_ndtri():
+    # finite_n_one_factor_prob's level t0 = -Phi^-1(1/n)
+    for n in [3, 4, 10, 1000, 10**5, 10**9, 2**53 + 1, 10**17, 1e30, 1e100, 1e300]:
+        got = -NormalDist().inv_cdf(1.0 / n)
+        assert got == pytest.approx(-special.ndtri(1.0 / n), rel=4e-16, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # void probabilities
 
@@ -415,8 +449,10 @@ def _pmf_one_cell_quadrature(params, measure, x, y, k1, k2, k3, k4):
     lo, hi = min(x, y), max(x, y)
     obs_hi, obs_lo, mis_hi, mis_lo = (k1, k3, k2, k4) if x > y else (k3, k1, k4, k2)
 
-    def pmf(k, mu):
-        return np.exp(special.xlogy(k, mu) - mu - special.gammaln(k + 1))
+    def pmf(k, mu):  # the program's formula: log and lgamma round unlike xlogy and gammaln
+        if k == 0:
+            return np.exp(-mu)
+        return np.exp(k * np.log(mu) - mu - math.lgamma(k + 1))
 
     def evaluate(rule):
         lam = rule.lam_col
