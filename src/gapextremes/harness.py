@@ -4,7 +4,8 @@ A configuration fixes a Gaussian model, a missingness model, a list of
 events and a replication budget.  Paths come in draws of
 ``paths_per_draw`` (k) paths: draw j uses the substream
 (master_seed, j, "path") and supplies replications j*k .. j*k+k-1, and
-replication r draws its indicators from (master_seed, r, "indicators").
+replication r draws its indicators from (master_seed, r, "indicators")
+unless the pattern is periodic, which draws nothing.
 The engine evaluates the events on blocks of replications, but no stream
 depends on the block size or on how replications are split into chunks,
 so results are bit-identical for any worker count and any scheduling.
@@ -29,7 +30,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -41,8 +41,8 @@ from .extremes import IntervalFamily
 from .gaussian import CovarianceSpec, GaussianModel, build_model, sample_path
 from .lambdalaw import LambdaLaw
 from .limit_laws import LimitLawParams
-from .missingness import MissingnessModel, sample_indicators
-from .streams import substream
+from .missingness import MissingnessModel, fixed_pattern, sample_indicators
+from .streams import substreams
 
 __all__ = [
     "ExperimentConfig",
@@ -364,7 +364,8 @@ def _simulate_range(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     counts.  Replications are evaluated in blocks of
     max(1, BLOCK_ELEMENTS // n) rows, each row filled from the same
     streams as alone; counts are integers, so every block size gives the
-    same totals.
+    same totals.  A periodic pattern draws nothing, so its rows are filled
+    once and take no indicators stream.
     """
     model = config.build_model()
     n, seed, k = config.n, config.master_seed, model.spec.paths_per_draw
@@ -372,12 +373,19 @@ def _simulate_range(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     counts = np.zeros(len(config.events), dtype=np.int64)
     size = max(1, min(hi - lo, BLOCK_ELEMENTS // n))
     values, eps = np.empty((size, n)), np.empty((size, n), dtype=bool)
+    if config.missingness.kind == "periodic":
+        eps[:] = fixed_pattern(config.missingness, n)
+        indicators = None
+    else:
+        indicators = substreams(seed, range(lo, hi), "indicators")
+    draws = range(lo // k, -(-hi // k))
     filled = 0
-    for j in range(lo // k, -(-hi // k)):
-        paths = sample_path(model, substream(seed, j, "path"))
+    for j, path_stream in zip(draws, substreams(seed, draws, "path")):
+        paths = sample_path(model, path_stream)
         for r in range(max(lo, j * k), min(hi, j * k + k)):
             values[filled] = paths[r - j * k]
-            eps[filled] = sample_indicators(config.missingness, n, substream(seed, r, "indicators"))
+            if indicators is not None:
+                eps[filled] = sample_indicators(config.missingness, n, next(indicators))
             filled += 1
             if filled == size:
                 counts += compiled(values, eps).sum(axis=0)
@@ -402,6 +410,9 @@ def simulate_event_counts(config: ExperimentConfig) -> np.ndarray:
     chunk = k * max(1, -(-config.reps // (workers * 4 * k)))
     los = range(0, config.reps, chunk)
     his = [min(lo + chunk, config.reps) for lo in los]
+    # imported here: it loads multiprocessing, which a run in process never uses
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         partials = list(pool.map(_simulate_range, [config] * len(los), los, his))
     total = np.zeros(len(config.events), dtype=np.int64)

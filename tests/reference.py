@@ -28,6 +28,13 @@ at.  ``lambda_mean``, ``family_measure`` and ``overall_max`` are the
 plain quantities the tests compare against.  ``finite_n_cells_prob`` is
 not a reference: it calls the package's finite-n identity with
 (n_obs, n_miss, x, y) cells, each laid end to end as its own atom.
+
+``substream`` is numpy's own seeding route, ``Generator(PCG64(SeedSequence(
+[master_seed, replication, label_key(label)])))``, the reference the bulk
+state derivation of ``gapextremes.streams`` is tested against.
+``per_replication_counts`` runs the experiment engine's replications one at
+a time on those streams: row r % k of draw r // k and the indicators of
+replication r, k paths per draw.
 """
 import math
 from dataclasses import dataclass
@@ -37,9 +44,12 @@ from scipy import integrate, special
 
 from gapextremes import limit_laws
 from gapextremes.errors import InvalidParameterError
+from gapextremes.events import CompiledEvents
 from gapextremes.extremes import CLASSES, IntervalFamily, LevelParams
-from gapextremes.gaussian import GaussianModel
+from gapextremes.gaussian import GaussianModel, sample_path
 from gapextremes.lambdalaw import LambdaLaw
+from gapextremes.missingness import sample_indicators
+from gapextremes.streams import label_key
 
 
 @dataclass(frozen=True)
@@ -260,3 +270,25 @@ def finite_n_void_prob(n, gamma, pattern, terms):
                        epsrel=1e-13, limit=200)[0]
         for a, b in zip(cuts, cuts[1:]))
     return total / math.sqrt(2.0 * math.pi)
+
+
+def substream(master_seed, replication, label):
+    """numpy's generator for the entropy [master_seed, replication,
+    label_key(label)]."""
+    entropy = np.random.SeedSequence([master_seed, replication, label_key(label)])
+    return np.random.Generator(np.random.PCG64(entropy))
+
+
+def per_replication_counts(config, lo, hi):
+    """Event hit counts of replications lo..hi-1 of an experiment config, one
+    replication at a time on ``substream`` streams."""
+    model = config.build_model()
+    k = model.spec.paths_per_draw
+    compiled = CompiledEvents(config.events, config.n)
+    counts = np.zeros(len(config.events), dtype=np.int64)
+    for r in range(lo, hi):
+        path = sample_path(model, substream(config.master_seed, r // k, "path"))[r % k]
+        eps = sample_indicators(config.missingness, config.n,
+                                substream(config.master_seed, r, "indicators"))
+        counts += compiled(path, eps)
+    return counts

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import dataclasses
 import json
@@ -24,7 +25,8 @@ from gapextremes.harness import (
     write_report,
 )
 from gapextremes.missingness import sample_indicators
-from gapextremes.streams import substream
+from gapextremes.streams import substream, substreams
+from reference import per_replication_counts
 
 BASE_CONFIG = {
     "model": {"family": "one_factor", "n": 300, "gamma": 1.0},
@@ -222,7 +224,7 @@ def test_pool_has_at_most_one_process_per_cpu(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     _cpus(monkeypatch, 4)
     many = simulate_event_counts(parse_config(_config(reps=600, workers=10_000)))
     assert sizes == [4]
@@ -437,9 +439,10 @@ def test_log_decay_two_path_draws_match_real_part_sampler_in_law():
     model = config.build_model()
     compiled = CompiledEvents(config.events, n)
     ref = np.zeros(len(config.events), dtype=np.int64)
-    for r in range(reps):
-        path = _real_part_path(model, substream(ref_seed, r, "path"))
-        eps = sample_indicators(config.missingness, n, substream(ref_seed, r, "indicators"))
+    paths = substreams(ref_seed, range(reps), "path")
+    for path_stream, eps_stream in zip(paths, substreams(ref_seed, range(reps), "indicators")):
+        path = _real_part_path(model, path_stream)
+        eps = sample_indicators(config.missingness, n, eps_stream)
         ref += compiled(path, eps)
 
     for event, a, b in zip(config.events, hits, ref):
@@ -478,21 +481,6 @@ def test_log_decay_replication_takes_its_row_of_its_draw():
         assert np.array_equal(_simulate_range(config, r, r + 1), compiled(path, eps).astype(np.int64))
 
 
-def _per_replication(config, lo, hi):
-    """Event hit counts of replications lo..hi-1, one replication at a time:
-    row r % k of draw r // k and the indicators of replication r."""
-    model = config.build_model()
-    k = model.spec.paths_per_draw
-    compiled = CompiledEvents(config.events, config.n)
-    counts = np.zeros(len(config.events), dtype=np.int64)
-    for r in range(lo, hi):
-        path = sample_path(model, substream(config.master_seed, r // k, "path"))[r % k]
-        eps = sample_indicators(config.missingness, config.n,
-                                substream(config.master_seed, r, "indicators"))
-        counts += compiled(path, eps)
-    return counts
-
-
 @pytest.mark.parametrize("model, missingness", [
     ({"family": "one_factor", "n": 64, "gamma": 1.0},
      {"kind": "exchangeable", "lambda_law": {"kind": "uniform", "a": 0.0, "b": 1.0}}),
@@ -510,8 +498,10 @@ def test_block_size_does_not_change_counts(monkeypatch, model, missingness):
     ]
     config = parse_config({"model": model, "missingness": missingness, "targets": events,
                            "reps": 11, "master_seed": 3})
-    splits = [(0, 11), (0, 4), (4, 11), (3, 8), (5, 6)]
-    expected = {span: _per_replication(config, *span) for span in splits}
+    # (3, 7) cuts a two-path draw at both ends; the reference seeds each
+    # replication's streams through numpy's SeedSequence, one at a time
+    splits = [(0, 11), (0, 4), (4, 11), (3, 8), (5, 6), (3, 7)]
+    expected = {span: per_replication_counts(config, *span) for span in splits}
     assert np.array_equal(expected[0, 4] + expected[4, 11], expected[0, 11])
     assert all(0 < hits < 11 for hits in expected[0, 11][-2:])
     n = config.n

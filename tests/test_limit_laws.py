@@ -386,7 +386,7 @@ def test_finite_n_against_one_factor_simulation():
     # 2e4 replications agrees within 4 binomial standard errors
     from gapextremes.extremes import LevelParams
     from gapextremes.gaussian import CovarianceSpec, build_model, sample_path
-    from gapextremes.streams import substream
+    from gapextremes.streams import substreams
 
     n, reps, gamma = 200, 20_000, 1.0
     model = build_model(n, CovarianceSpec("one_factor", gamma=gamma))
@@ -402,8 +402,8 @@ def test_finite_n_against_one_factor_simulation():
     lp = LevelParams.for_length(n)
     ux, uy = lp.level(x), lp.level(y)
     hits = 0
-    for r in range(reps):
-        v = sample_path(model, substream(314, r, "path"))[0]
+    for stream in substreams(314, range(reps), "path"):
+        v = sample_path(model, stream)[0]
         ok = True
         for lo, hi in ranges:
             seg, seg_eps = v[lo:hi], eps[lo:hi]

@@ -10,7 +10,7 @@ from gapextremes.missingness import (
     fixed_pattern,
     sample_indicators,
 )
-from gapextremes.streams import substream
+from gapextremes.streams import substream, substreams
 
 
 def test_all_observed():
@@ -44,8 +44,8 @@ def test_exchangeable_uniform_fraction_ks():
     model = MissingnessModel.exchangeable(LambdaLaw.uniform(0.0, 1.0))
     reps, n = 10_000, 10_000
     fractions = np.empty(reps)
-    for r in range(reps):
-        fractions[r] = sample_indicators(model, n, substream(2024, r, "ind")).mean()
+    for r, stream in enumerate(substreams(2024, range(reps), "ind")):
+        fractions[r] = sample_indicators(model, n, stream).mean()
     assert stats.kstest(fractions, "uniform").pvalue > 0.01
 
 
