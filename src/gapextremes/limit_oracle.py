@@ -78,16 +78,22 @@ def sample_limit_counts(
         raise InvalidParameterError(f"family measure must lie in [0,1], got {measure}")
 
     lam, xi = _draw_latents(params, stream, size)
-    base = measure * g_intensity(params.gamma, levels[0], xi)
+    # the level-0 means share one buffer, and the level-0 rows are drawn
+    # first and freed once copied: the peak is the draws themselves
+    mean = measure * g_intensity(params.gamma, levels[0], xi)
+    level0 = [stream.poisson(lam * mean)]
+    mean *= 1.0 - lam
+    level0.append(stream.poisson(mean))
+    del mean
     observed = np.empty((len(levels), size), dtype=np.int64)
+    observed[0] = level0.pop(0)
     missed = np.empty_like(observed)
-    observed[0] = stream.poisson(lam * base)
-    missed[0] = stream.poisson((1.0 - lam) * base)
+    missed[0] = level0.pop()
     for i in range(1, len(levels)):
         keep = math.exp(-(levels[i] - levels[i - 1]))
         observed[i] = stream.binomial(observed[i - 1], keep)
         missed[i] = stream.binomial(missed[i - 1], keep)
-    assert (np.diff(observed, axis=0) <= 0).all() and (np.diff(missed, axis=0) <= 0).all()
+    assert (observed[1:] <= observed[:-1]).all() and (missed[1:] <= missed[:-1]).all()
     return LimitSample(lam=lam, xi=xi, observed=observed, missed=missed)
 
 
@@ -107,6 +113,7 @@ def sample_limit_maxima_locations(
     with np.errstate(divide="ignore"):
         observed_max = np.log(lam) + drift + stream.gumbel(size=size)
         missed_max = np.log1p(-lam) + drift + stream.gumbel(size=size)
+    del drift  # freed before the locations are drawn: the peak is the draws
     observed_loc = 1.0 - stream.random(size)
     missed_loc = 1.0 - stream.random(size)
     return LimitSample(

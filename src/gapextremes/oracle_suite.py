@@ -20,7 +20,7 @@ from .limit_laws import (
     joint_counts_pmf_batch,
     locations_heights_cdf,
 )
-from .limit_oracle import sample_limit_counts, sample_limit_maxima_locations
+from .limit_oracle import LimitSample, sample_limit_counts, sample_limit_maxima_locations
 from .streams import substream
 
 __all__ = ["CheckRow", "COUNT_SETTINGS", "counts_suite", "maxima_suite"]
@@ -56,6 +56,23 @@ COUNT_SETTINGS = (
 COUNT_LEVELS = (0.0, 1.0)  # y (low), x (high)
 
 
+#: bit offsets of a joint cell (observed@x, missed@x, observed@y, missed@y)
+#: in its int64 key, which is the cell's C-order index over (1 << 15,) * 4
+_CELL_SHIFTS = np.array([45, 30, 15, 0])
+_CELL_MASK = (1 << 15) - 1
+
+
+def _cell_keys(batch: LimitSample) -> np.ndarray:
+    """The key of each draw's cell, packed in place over the batch's counts."""
+    if not all(0 <= c.min() and c.max() <= _CELL_MASK for c in (batch.observed, batch.missed)):
+        raise ValueError(f"cell counts must lie in [0, {_CELL_MASK}]")
+    rows = (batch.observed[1], batch.missed[1], batch.observed[0], batch.missed[0])
+    keys = rows[0] << _CELL_SHIFTS[0]
+    for row, shift in zip(rows[1:], _CELL_SHIFTS[1:]):
+        keys |= np.left_shift(row, shift, out=row)
+    return keys
+
+
 def counts_suite(
     samples: int = 1_000_000,
     seed: int = 0,
@@ -81,14 +98,14 @@ def counts_suite(
     for idx, (gamma, law, measure) in enumerate(COUNT_SETTINGS):
         params = LimitLawParams(gamma, law)
         stream = substream(seed, idx, "oracle-counts")
-        batch = sample_limit_counts(params, measure, COUNT_LEVELS, stream, size=samples)
-        # joint cells (observed@x, missed@x, observed@y, missed@y)
-        cells = np.stack([batch.observed[1], batch.missed[1], batch.observed[0], batch.missed[0]])
-        keys = np.ravel_multi_index(cells, (1 << 15,) * 4, mode="raise")
-        uniq, counts = np.unique(keys, return_counts=True)
+        # unnamed, neither the batch nor its keys outlive the tally
+        uniq, counts = np.unique(
+            _cell_keys(sample_limit_counts(params, measure, COUNT_LEVELS, stream, size=samples)),
+            return_counts=True,
+        )
         keep = counts >= support_floor
         label = f"g{gamma:g}-{law.describe()}-m{measure:g}"
-        candidates = np.stack(np.unravel_index(uniq[keep], (1 << 15,) * 4), axis=1)
+        candidates = uniq[keep, None] >> _CELL_SHIFTS & _CELL_MASK
         theories = joint_counts_pmf_batch(params, measure, x_level, y_level, candidates)
         for (k1, k2, k3, k4), hits, theory in zip(candidates, counts[keep], theories):
             if theory < min_prob:
@@ -141,6 +158,7 @@ def maxima_suite(
                     rows.append(
                         _check(f"heights({s},{t},{x},{y})", hits, theory, samples, sigma)
                     )
+    del s_hits, t_hits, x_hits, y_hits  # before the overall location is formed
 
     locs = {"observed": batch.observed_loc, "missed": batch.missed_loc, "all": batch.overall_loc}
     pairs = {"obs_missed": ("observed", "missed"), "obs_all": ("observed", "all"),

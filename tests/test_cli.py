@@ -475,6 +475,16 @@ def test_simulation_beyond_the_address_space_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_oracle_beyond_the_address_space_exits_2(tmp_path, capsys):
+    # the first setting's fraction draws, 1e17 float64 values, exceed any
+    # x86-64 address space and are refused at once, before any report
+    # directory is made
+    out = tmp_path / "oracle"
+    assert main(["oracle", "--samples", str(10**17), "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_commands_leave_scipy_special_unimported(tmp_path):
     # importing scipy.special costs a process 0.2 s or more, most of a short
     # verify run; only a Poisson cdf factor of a rank above 32 may import it

@@ -1,6 +1,13 @@
 import re
+import tracemalloc
+from collections import Counter
 
+import numpy as np
+import pytest
+
+from gapextremes import oracle_suite
 from gapextremes.limit_laws import LimitLawParams, joint_counts_pmf
+from gapextremes.limit_oracle import LimitSample, sample_limit_counts
 from gapextremes.oracle_suite import (
     COUNT_LEVELS,
     COUNT_SETTINGS,
@@ -8,6 +15,7 @@ from gapextremes.oracle_suite import (
     counts_suite,
     maxima_suite,
 )
+from gapextremes.streams import substream
 from pairs import pair_cdf
 
 
@@ -34,3 +42,70 @@ def test_maxima_suite_heights_equal_scalar_calls_exactly():
         s, t, x, y = map(float, re.fullmatch(r"heights\((.*)\)", row.check_id).group(1).split(","))
         assert type(row.theory) is float
         assert row.theory == pair_cdf(MAXIMA_PARAMS, "obs_missed", s, t, x, y)
+
+
+def test_counts_suite_hits_equal_a_mask_tally_of_the_same_draws():
+    samples, seed = 20000, 1
+    # the suite's thresholds at this size: min_prob floored at 25 / samples
+    min_prob = max(1e-4, 25.0 / samples)
+    support_floor = max(5, int(samples * min_prob * 0.25))
+    rows = {row.check_id: row for row in counts_suite(samples=samples, seed=seed)}
+    y_level, x_level = COUNT_LEVELS
+    checked = 0
+    for idx, (gamma, law, measure) in enumerate(COUNT_SETTINGS):
+        params = LimitLawParams(gamma, law)
+        stream = substream(seed, idx, "oracle-counts")
+        batch = sample_limit_counts(params, measure, COUNT_LEVELS, stream, size=samples)
+        # (observed@x, missed@x, observed@y, missed@y) per draw
+        columns = (batch.observed[1], batch.missed[1], batch.observed[0], batch.missed[0])
+        label = f"g{gamma:g}-{law.describe()}-m{measure:g}"
+        for check_id, row in rows.items():
+            match = re.fullmatch(r"counts\[(.*)\]\((\d+),(\d+),(\d+),(\d+)\)", check_id)
+            if match.group(1) != label:
+                continue
+            cell = [int(k) for k in match.group(2, 3, 4, 5)]
+            mask = np.ones(samples, dtype=bool)
+            for column, k in zip(columns, cell):
+                mask &= column == k
+            hits = np.count_nonzero(mask)
+            assert hits >= support_floor
+            assert row.empirical * samples == pytest.approx(hits, abs=1e-6)
+            checked += 1
+        # every cell at or above the support floor whose limit probability
+        # reaches min_prob has a row
+        for cell, hits in Counter(zip(*(column.tolist() for column in columns))).items():
+            if hits >= support_floor and joint_counts_pmf(params, measure, x_level, y_level,
+                                                           *cell) >= min_prob:
+                assert f"counts[{label}]({','.join(map(str, cell))})" in rows
+    assert checked == len(rows) > 0
+
+
+@pytest.mark.parametrize("value", [1 << 15, -1], ids=["key-width", "negative"])
+@pytest.mark.parametrize("field, level", [("observed", 0), ("observed", 1), ("missed", 0),
+                                          ("missed", 1)])
+def test_counts_suite_refuses_counts_outside_the_key(monkeypatch, field, level, value):
+    # one such count would spill into its neighbour's bits of the packed key
+    def sampler(params, measure, levels, stream, size):
+        counts = {"observed": np.zeros((2, size), dtype=np.int64),
+                  "missed": np.zeros((2, size), dtype=np.int64)}
+        counts[field][level, 0] = value
+        return LimitSample(lam=np.full(size, 0.5), xi=np.zeros(size), **counts)
+
+    monkeypatch.setattr(oracle_suite, "sample_limit_counts", sampler)
+    with pytest.raises(ValueError):
+        counts_suite(samples=1000, seed=1)
+
+
+@pytest.mark.parametrize("suite", [counts_suite, maxima_suite])
+def test_suite_memory_is_about_the_draws(suite):
+    # a batch's draws take 48 bytes per sample in either suite; the bound
+    # leaves room for one tally's working arrays, not for a second batch
+    # or for a stacked copy of the counts and its raveled index
+    samples = 200_000
+    tracemalloc.start()
+    try:
+        assert suite(samples=samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * samples, peak / samples
