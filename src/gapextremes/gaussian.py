@@ -64,10 +64,10 @@ class CovarianceSpec:
             raise InvalidParameterError(f"unknown family {self.family!r}")
         if not np.isfinite(self.gamma) or self.gamma < 0.0:
             raise InvalidParameterError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if self.family == "log_decay" and not 1.0 - math.e < self.shift < math.inf:  # NaN too
+        if self.family == "log_decay" and not -1.0 < self.shift < math.inf:  # NaN too
             raise InvalidParameterError(
-                "log_decay shift must be finite and exceed 1 - e so ln(k + shift) is defined, "
-                f"got {self.shift}"
+                "log_decay shift must be finite and exceed -1 so ln(k + shift) is defined "
+                f"at every lag k >= 1, got {self.shift}"
             )
 
 
@@ -86,7 +86,9 @@ class GaussianModel:
 
 
 def _log_decay_correlation(gamma: float, shift: float, k) -> np.ndarray:
-    return gamma / np.log(np.asarray(k, dtype=float) + shift)
+    # ln(k + shift) = 0 gives an infinite or NaN r_k, which build_model refuses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return gamma / np.log(np.asarray(k, dtype=float) + shift)
 
 
 def build_model(n: int, spec: CovarianceSpec) -> GaussianModel:
@@ -99,9 +101,9 @@ def build_model(n: int, spec: CovarianceSpec) -> GaussianModel:
     ------
     InvalidParameterError
         n too small, gamma >= ln n for one_factor, or a log_decay lag
-        correlation with modulus >= 1.
+        correlation that is not finite or has modulus >= 1.
     NonEmbeddableCovarianceError
-        The embedding spectrum has an entry below -tol_clip.
+        The embedding spectrum has an entry below -tol_clip or not finite.
     """
     n = int(n)
     if spec.family == "one_factor":
@@ -118,7 +120,7 @@ def build_model(n: int, spec: CovarianceSpec) -> GaussianModel:
     # log_decay: the lag correlations themselves must be valid ...
     lags = np.arange(1, n)
     r = _log_decay_correlation(spec.gamma, spec.shift, lags)
-    bad = np.abs(r) >= 1.0
+    bad = ~(np.abs(r) < 1.0)  # NaN too
     if bad.any():
         k = int(lags[bad][0])
         raise InvalidParameterError(
@@ -133,7 +135,7 @@ def build_model(n: int, spec: CovarianceSpec) -> GaussianModel:
     row[1:] = _log_decay_correlation(spec.gamma, spec.shift, circ_lags)
     spectrum = np.fft.fft(row).real
     tol_clip = SPECTRUM_CLIP_REL * spectrum.max()
-    if spectrum.min() < -tol_clip:
+    if not spectrum.min() >= -tol_clip:  # NaN too
         raise NonEmbeddableCovarianceError(
             f"embedding spectrum reaches {spectrum.min():.3e} < -{tol_clip:.3e} at "
             f"size {m}; r_k = {spec.gamma:g}/ln(k+{spec.shift:g}) is not embeddable for n={n}"

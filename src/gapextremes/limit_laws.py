@@ -476,6 +476,8 @@ def locations_heights_cdf(params: LimitLawParams, s, h):
     """
     if not set(s) | set(h) <= set(CLASSES):
         raise InvalidParameterError(f"classes must be among {CLASSES}, got {set(s) | set(h)}")
+    # an empty class has no location: a located class needs lam > 0 or < 1
+    free_obs, free_miss = "observed" not in s, "missed" not in s
     s = dict.fromkeys(CLASSES, 1.0) | dict(s)
     h = dict.fromkeys(CLASSES, math.inf) | dict(h)
     if not all(np.all((0.0 < v) & (v <= 1.0)) for v in s.values()):
@@ -484,13 +486,14 @@ def locations_heights_cdf(params: LimitLawParams, s, h):
 
     def integrand(lam, g, rows):
         fracs = (lam, 1.0 - lam)
+        located = ((lam > 0.0) | free_obs) & ((lam < 1.0) | free_miss)
         for row in rows:  # the race won by the observed (0) or the missed (1) class
             own, other = tops[row], tops[1 - row]
             race = fracs[row] * np.exp(-g(min(tops)))
             if own > other:  # the winner may exceed the loser's height
                 joint = np.exp(-fracs[row] * g(own) - fracs[1 - row] * g(other))
                 race = race + joint - np.exp(-g(other))
-            yield race
+            yield race * located
 
     won_obs, won_miss = _mixed_poisson(params, integrand, tops, (2,))
     return _clip_prob(np.minimum(s["observed"], s["all"]) * s["missed"] * won_obs

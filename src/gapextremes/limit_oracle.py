@@ -16,39 +16,13 @@ processes, by ``count_event_hits`` in ``tests/reference.py``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import math
 import numpy as np
 
 from .errors import InvalidParameterError
 from .limit_laws import LimitLawParams, g_intensity
 
-__all__ = [
-    "LimitSample",
-    "sample_limit_counts",
-    "sample_limit_maxima_locations",
-]
-
-
-@dataclass(frozen=True)
-class LimitSample:
-    """A batch of draws from the limit; count fields are (n_levels, size)
-    and every other array is (size,).  Fields not produced by the sampler
-    that built the batch are None."""
-
-    lam: np.ndarray
-    xi: np.ndarray
-    observed: np.ndarray | None = None
-    missed: np.ndarray | None = None
-    observed_max: np.ndarray | None = None
-    missed_max: np.ndarray | None = None
-    observed_loc: np.ndarray | None = None
-    missed_loc: np.ndarray | None = None
-
-    @property
-    def overall_loc(self) -> np.ndarray:
-        return np.where(self.observed_max >= self.missed_max, self.observed_loc, self.missed_loc)
+__all__ = ["sample_limit_counts", "sample_limit_maxima_locations"]
 
 
 def _draw_latents(params: LimitLawParams, stream: np.random.Generator, size: int):
@@ -63,9 +37,10 @@ def sample_limit_counts(
     levels,
     stream: np.random.Generator,
     size: int = 1,
-) -> LimitSample:
+) -> tuple[np.ndarray, np.ndarray]:
     """Joint observed/missed exceedance counts of one family of measure
-    ``measure`` at several levels.
+    ``measure`` at several levels: two int64 arrays of shape
+    (len(levels), size), the observed counts and the missed counts.
 
     Base counts at the lowest level are Poisson with intensities
     lam * measure * g and (1 - lam) * measure * g; each higher level is a
@@ -78,11 +53,13 @@ def sample_limit_counts(
         raise InvalidParameterError(f"family measure must lie in [0,1], got {measure}")
 
     lam, xi = _draw_latents(params, stream, size)
-    # the level-0 means share one buffer, and the level-0 rows are drawn
-    # first and freed once copied: the peak is the draws themselves
+    # the level-0 means share one buffer, and the latents and the level-0
+    # rows are freed once used: the peak is the draws themselves
     mean = measure * g_intensity(params.gamma, levels[0], xi)
+    del xi
     level0 = [stream.poisson(lam * mean)]
     mean *= 1.0 - lam
+    del lam
     level0.append(stream.poisson(mean))
     del mean
     observed = np.empty((len(levels), size), dtype=np.int64)
@@ -94,13 +71,15 @@ def sample_limit_counts(
         observed[i] = stream.binomial(observed[i - 1], keep)
         missed[i] = stream.binomial(missed[i - 1], keep)
     assert (observed[1:] <= observed[:-1]).all() and (missed[1:] <= missed[:-1]).all()
-    return LimitSample(lam=lam, xi=xi, observed=observed, missed=missed)
+    return observed, missed
 
 
 def sample_limit_maxima_locations(
     params: LimitLawParams, stream: np.random.Generator, size: int = 1
-) -> LimitSample:
-    """Class maxima heights and argmax locations of the limit.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Class maxima heights and argmax locations of the limit: four arrays
+    of shape (size,), the observed and missed maxima, then the observed
+    and missed locations.
 
     Given (lambda, xi) the observed maximum is Gumbel with location
     ln(lambda) - gamma + sqrt(2 gamma) xi (-inf when lambda = 0), the
@@ -110,17 +89,11 @@ def sample_limit_maxima_locations(
     """
     lam, xi = _draw_latents(params, stream, size)
     drift = -params.gamma + math.sqrt(2.0 * params.gamma) * xi
+    del xi
     with np.errstate(divide="ignore"):
         observed_max = np.log(lam) + drift + stream.gumbel(size=size)
         missed_max = np.log1p(-lam) + drift + stream.gumbel(size=size)
-    del drift  # freed before the locations are drawn: the peak is the draws
+    del lam, drift  # freed before the locations are drawn: the peak is the draws
     observed_loc = 1.0 - stream.random(size)
     missed_loc = 1.0 - stream.random(size)
-    return LimitSample(
-        lam=lam,
-        xi=xi,
-        observed_max=observed_max,
-        missed_max=missed_max,
-        observed_loc=observed_loc,
-        missed_loc=missed_loc,
-    )
+    return observed_max, missed_max, observed_loc, missed_loc

@@ -9,6 +9,8 @@ laws against the Gumbel-race sampler.  Both are deterministic given
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +22,7 @@ from .limit_laws import (
     joint_counts_pmf_batch,
     locations_heights_cdf,
 )
-from .limit_oracle import LimitSample, sample_limit_counts, sample_limit_maxima_locations
+from .limit_oracle import sample_limit_counts, sample_limit_maxima_locations
 from .streams import substream
 
 __all__ = ["CheckRow", "COUNT_SETTINGS", "counts_suite", "maxima_suite"]
@@ -56,21 +58,21 @@ COUNT_SETTINGS = (
 COUNT_LEVELS = (0.0, 1.0)  # y (low), x (high)
 
 
-#: bit offsets of a joint cell (observed@x, missed@x, observed@y, missed@y)
-#: in its int64 key, which is the cell's C-order index over (1 << 15,) * 4
-_CELL_SHIFTS = np.array([45, 30, 15, 0])
-_CELL_MASK = (1 << 15) - 1
+#: cells per count of a joint cell (observed@x, missed@x, observed@y,
+#: missed@y): its C-order index is the four 15-bit counts packed in an int64
+_COUNT_DIMS = (1 << 15,) * 4
 
 
-def _cell_keys(batch: LimitSample) -> np.ndarray:
-    """The key of each draw's cell, packed in place over the batch's counts."""
-    if not all(0 <= c.min() and c.max() <= _CELL_MASK for c in (batch.observed, batch.missed)):
-        raise ValueError(f"cell counts must lie in [0, {_CELL_MASK}]")
-    rows = (batch.observed[1], batch.missed[1], batch.observed[0], batch.missed[0])
-    keys = rows[0] << _CELL_SHIFTS[0]
-    for row, shift in zip(rows[1:], _CELL_SHIFTS[1:]):
-        keys |= np.left_shift(row, shift, out=row)
-    return keys
+def _cell_index(columns, dims) -> np.ndarray:
+    """Each draw's C-order index over ``dims`` cells, formed in place over
+    the first of its integer columns, one per axis; a generator's columns
+    are freed one by one, as soon as each is added."""
+    columns = iter(columns)
+    index = next(columns)
+    for dim in dims[1:]:
+        index *= dim
+        index += next(columns)
+    return index
 
 
 def counts_suite(
@@ -98,28 +100,45 @@ def counts_suite(
     for idx, (gamma, law, measure) in enumerate(COUNT_SETTINGS):
         params = LimitLawParams(gamma, law)
         stream = substream(seed, idx, "oracle-counts")
-        # unnamed, neither the batch nor its keys outlive the tally
-        uniq, counts = np.unique(
-            _cell_keys(sample_limit_counts(params, measure, COUNT_LEVELS, stream, size=samples)),
-            return_counts=True,
-        )
+        observed, missed = sample_limit_counts(params, measure, COUNT_LEVELS, stream, size=samples)
+        # a count outside the key width would spill into its neighbour's cell
+        if not all(0 <= c.min() and c.max() < _COUNT_DIMS[0] for c in (observed, missed)):
+            raise ValueError(f"cell counts must lie in [0, {_COUNT_DIMS[0] - 1}]")
+        keys = _cell_index((observed[1], missed[1], observed[0], missed[0]), _COUNT_DIMS)
+        del observed, missed  # the keys hold the observed rows only
+        uniq, counts = np.unique(keys, return_counts=True)
+        del keys  # before the next setting's draws
         keep = counts >= support_floor
         label = f"g{gamma:g}-{law.describe()}-m{measure:g}"
-        candidates = uniq[keep, None] >> _CELL_SHIFTS & _CELL_MASK
+        candidates = np.column_stack(np.unravel_index(uniq[keep], _COUNT_DIMS))
         theories = joint_counts_pmf_batch(params, measure, x_level, y_level, candidates)
         for (k1, k2, k3, k4), hits, theory in zip(candidates, counts[keep], theories):
             if theory < min_prob:
                 continue
-            rows.append(
-                _check(
-                    f"counts[{label}]({k1},{k2},{k3},{k4})",
-                    int(hits),
-                    float(theory),
-                    samples,
-                    sigma,
-                )
-            )
+            rows.append(_check(f"counts[{label}]({k1},{k2},{k3},{k4})", int(hits), float(theory),
+                               samples, sigma))
     return rows
+
+
+def _left_bin(v: np.ndarray, grid) -> np.ndarray:
+    """``np.searchsorted(grid, v, side="left")`` without a binary search
+    per draw: v <= grid[i] exactly when the bin is <= i (NaN tops all)."""
+    bins = np.full(v.shape, len(grid))
+    for point in grid:
+        bins -= v <= point
+    return bins
+
+
+def _tally_below(columns):
+    """Draws at or below each grid point of (values, grid) columns: cell
+    counts over the left bins, cumulated along every axis.  An axis has one
+    more entry than its grid, and its last entry leaves that column free."""
+    dims = tuple(len(grid) + 1 for _, grid in columns)
+    index = _cell_index((_left_bin(v, grid) for v, grid in columns), dims)
+    below = np.bincount(index, minlength=math.prod(dims)).reshape(dims)
+    for axis in range(len(dims)):
+        below = below.cumsum(axis)
+    return below
 
 
 MAXIMA_PARAMS = LimitLawParams(0.5, LambdaLaw.beta(2.0, 3.0))
@@ -134,13 +153,13 @@ def maxima_suite(
     law of every two of the three classes."""
     params = MAXIMA_PARAMS
     stream = substream(seed, 0, "oracle-maxima")
-    batch = sample_limit_maxima_locations(params, stream, size=samples)
+    observed_max, missed_max, observed_loc, missed_loc = sample_limit_maxima_locations(
+        params, stream, size=samples)
     rows = []
 
-    s_hits = {s: batch.observed_loc <= s for s in MAXIMA_ST_GRID}
-    t_hits = {t: batch.missed_loc <= t for t in MAXIMA_ST_GRID}
-    x_hits = {x: batch.observed_max <= x for x in MAXIMA_XY_GRID}
-    y_hits = {y: batch.missed_max <= y for y in MAXIMA_XY_GRID}
+    # draws at or below each (s, t, x, y) grid point
+    below = _tally_below(((observed_loc, MAXIMA_ST_GRID), (missed_loc, MAXIMA_ST_GRID),
+                          (observed_max, MAXIMA_XY_GRID), (missed_max, MAXIMA_XY_GRID)))
     # one height integral per (x, y), shared by the whole (s, t) grid
     s_grid, t_grid = np.meshgrid(MAXIMA_ST_GRID, MAXIMA_ST_GRID, indexing="ij")
     heights = {
@@ -149,26 +168,25 @@ def maxima_suite(
         for x in MAXIMA_XY_GRID
         for y in MAXIMA_XY_GRID
     }
-    for i, s in enumerate(MAXIMA_ST_GRID):
-        for j, t in enumerate(MAXIMA_ST_GRID):
-            for x in MAXIMA_XY_GRID:
-                for y in MAXIMA_XY_GRID:
-                    hits = np.count_nonzero(s_hits[s] & t_hits[t] & x_hits[x] & y_hits[y])
-                    theory = float(heights[x, y][i, j])
-                    rows.append(
-                        _check(f"heights({s},{t},{x},{y})", hits, theory, samples, sigma)
-                    )
-    del s_hits, t_hits, x_hits, y_hits  # before the overall location is formed
+    for (i, s), (j, t), (k, x), (l, y) in itertools.product(
+            enumerate(MAXIMA_ST_GRID), enumerate(MAXIMA_ST_GRID), enumerate(MAXIMA_XY_GRID),
+            enumerate(MAXIMA_XY_GRID)):
+        rows.append(_check(f"heights({s},{t},{x},{y})", int(below[i, j, k, l]),
+                           float(heights[x, y][i, j]), samples, sigma))
 
-    locs = {"observed": batch.observed_loc, "missed": batch.missed_loc, "all": batch.overall_loc}
-    pairs = {"obs_missed": ("observed", "missed"), "obs_all": ("observed", "all"),
-             "missed_all": ("missed", "all")}
-    for pair, (first, second) in pairs.items():
+    overall_loc = np.where(observed_max >= missed_max, observed_loc, missed_loc)
+    del observed_max, missed_max
+    # draws with the observed, missed and overall locations at or below
+    # each grid point; the last index of an axis leaves that class free
+    below = _tally_below(((observed_loc, MAXIMA_ST_GRID), (missed_loc, MAXIMA_ST_GRID),
+                          (overall_loc, MAXIMA_ST_GRID)))
+    pairs = {"obs_missed": (("observed", "missed"), below[:, :, -1]),
+             "obs_all": (("observed", "all"), below[:, -1, :]),
+             "missed_all": (("missed", "all"), below[-1, :, :])}
+    for pair, ((first, second), hits) in pairs.items():
         # the location-only law: no heights
         locations = locations_heights_cdf(params, {first: s_grid, second: t_grid}, {})
-        for i, s in enumerate(MAXIMA_ST_GRID):
-            for j, t in enumerate(MAXIMA_ST_GRID):
-                hits = np.count_nonzero((locs[first] <= s) & (locs[second] <= t))
-                theory = float(locations[i, j])
-                rows.append(_check(f"locations[{pair}]({s},{t})", hits, theory, samples, sigma))
+        for (i, s), (j, t) in itertools.product(enumerate(MAXIMA_ST_GRID), repeat=2):
+            rows.append(_check(f"locations[{pair}]({s},{t})", int(hits[i, j]),
+                               float(locations[i, j]), samples, sigma))
     return rows

@@ -24,10 +24,11 @@ merged variables are formed.
 ``finite_n_void_prob`` is the exact finite-n void probability of the
 one-factor model by ``scipy.integrate.quad``, index by index: given the
 factor, each index stays below the lowest level a term counts its class
-at.  ``lambda_mean``, ``family_measure`` and ``overall_max`` are the
-plain quantities the tests compare against.  ``finite_n_cells_prob`` is
-not a reference: it calls the package's finite-n identity with
-(n_obs, n_miss, x, y) cells, each laid end to end as its own atom.
+at.  ``lambda_mean``, ``family_measure``, ``overall_max`` and
+``overall_loc`` are the plain quantities the tests compare against.
+``finite_n_cells_prob`` is not a reference: it calls the package's
+finite-n identity with (n_obs, n_miss, x, y) cells, each laid end to end
+as its own atom.
 
 ``substream`` is numpy's own seeding route, ``Generator(PCG64(SeedSequence(
 [master_seed, replication, label_key(label)])))``, the reference the bulk
@@ -218,9 +219,18 @@ def family_measure(family: IntervalFamily) -> float:
     return float(sum(d - c for c, d in family.intervals))
 
 
-def overall_max(sample) -> np.ndarray:
-    """Overall maximum of a limit sample's maxima draws."""
-    return np.maximum(sample.observed_max, sample.missed_max)
+def overall_max(draws) -> np.ndarray:
+    """Overall maximum of the limit's (observed_max, missed_max,
+    observed_loc, missed_loc) draws."""
+    observed_max, missed_max, _, _ = draws
+    return np.maximum(observed_max, missed_max)
+
+
+def overall_loc(draws) -> np.ndarray:
+    """Overall argmax location of the same draws: that of the class
+    carrying the larger maximum."""
+    observed_max, missed_max, observed_loc, missed_loc = draws
+    return np.where(observed_max >= missed_max, observed_loc, missed_loc)
 
 
 def finite_n_cells_prob(n, gamma, cells):

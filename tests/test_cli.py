@@ -218,6 +218,21 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, mutate):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_log_decay_shift_below_minus_one_exits_2(tmp_path, capsys):
+    # ln(1 + shift) is undefined at lag 1: no NaN path is sampled and no
+    # report is written
+    doc = copy.deepcopy(CONFIG)
+    doc["model"] = {"family": "log_decay", "n": 100, "gamma": 0.01, "shift": -1.5}
+    path, out = tmp_path / "shift.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: model: log_decay shift must be finite and exceed -1 so ln(k + shift) "
+        "is defined at every lag k >= 1, got -1.5\n"
+    )
+    assert not out.exists()
+
+
 def test_model_error_has_one_prefix(tmp_path, capsys):
     doc = copy.deepcopy(CONFIG)
     doc["model"]["shift"] = 2.0

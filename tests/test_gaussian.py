@@ -71,6 +71,21 @@ def test_log_decay_rejects_unit_correlation():
         build_model(100, CovarianceSpec("log_decay", gamma=2.0, shift=math.e - 1.0))
 
 
+@pytest.mark.parametrize("shift", [-1.5, -1.0, 1.0 - math.e + 1e-9])
+def test_log_decay_shift_must_exceed_minus_one(shift):
+    # ln(1 + shift) is undefined at lag 1, so the paths would be NaN
+    with pytest.raises(InvalidParameterError, match="exceed -1"):
+        CovarianceSpec("log_decay", gamma=0.01, shift=shift)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_log_decay_refuses_a_non_finite_correlation(gamma):
+    # shift = 0 puts ln(1 + shift) = 0 at lag 1: r_1 is NaN at gamma = 0
+    # and infinite above it
+    with pytest.raises(InvalidParameterError, match="at lag 1 is (nan|inf)"):
+        build_model(100, CovarianceSpec("log_decay", gamma=gamma, shift=0.0))
+
+
 def test_log_decay_non_embeddable():
     # r_1 = 1.3 / ln(1+e) = 0.9899 is valid pointwise but the embedding
     # spectrum goes negative (observed for all tested sizes)

@@ -382,6 +382,26 @@ def test_estimates_match_theory_at_modest_n():
     assert report.all_pass(), report.to_csv()
 
 
+@pytest.mark.parametrize(
+    "missingness",
+    [{"kind": "periodic", "pattern": "0"},
+     {"kind": "exchangeable",
+      "lambda_law": {"kind": "discrete", "values": [0.0, 0.5], "weights": [0.5, 0.5]}}],
+    ids=["all-missed", "atom-at-zero"],
+)
+def test_location_of_a_class_the_fraction_law_can_empty(missingness):
+    # with lambda = 0 no index is observed: the record gives the observed
+    # location +inf, so the event never holds there, in theory as in the
+    # simulation
+    event = {"id": "observed_location", "terms": [
+        {"type": "location", "class": "observed", "s": 0.5},
+        {"type": "order_stat", "class": "observed", "k": 1, "x": 0.0}]}
+    report = run_experiment(parse_config(_config(
+        model={"family": "one_factor", "n": 1000, "gamma": 0.5}, missingness=missingness,
+        targets=[event], reps=4000, master_seed=1, sigma=4.0)))
+    assert report.all_pass(), report.to_csv()
+
+
 # ---------------------------------------------------------------------------
 # log_decay draws: two paths per circulant transform
 

@@ -607,6 +607,24 @@ def test_locations_cdf_values():
     assert got == pytest.approx(0.6 * 0.2 * 0.6 + 0.2 * 0.4)
 
 
+@pytest.mark.parametrize("which, empty_at", [("observed", 0.0), ("missed", 1.0)])
+def test_located_class_the_fraction_law_can_empty(which, empty_at):
+    # an atom at lambda = 0 empties the observed class and one at 1 the
+    # missed class; an empty class has no location, so its location term
+    # is false on that atom and only the other atom counts
+    params = LimitLawParams(0.5, LambdaLaw.point(empty_at))
+    assert locations_heights_cdf(params, {which: 0.5}, {which: 0.0}) == 0.0
+    assert locations_heights_cdf(params, {which: 0.5, "all": 0.7}, {}) == 0.0
+    mixed = LimitLawParams(0.5, LambdaLaw.discrete([empty_at, 0.5], [0.5, 0.5]))
+    half = LimitLawParams(0.5, LambdaLaw.point(0.5))
+    got = locations_heights_cdf(mixed, {which: 0.5}, {which: 0.0})
+    assert got == pytest.approx(0.5 * locations_heights_cdf(half, {which: 0.5}, {which: 0.0}),
+                                abs=1e-12)
+    # the other class and the overall class are never empty
+    other = "missed" if which == "observed" else "observed"
+    assert locations_heights_cdf(params, {other: 0.5, "all": 0.5}, {}) == pytest.approx(0.5)
+
+
 def test_locations_cdf_symmetry_and_validation():
     law = LambdaLaw.beta(2.0, 5.0)
     a = _locations_cdf(law, "obs_all", 0.3, 0.8)

@@ -15,11 +15,15 @@ from gapextremes.limit_laws import (
     order_stats_vs_all_cdf,
     void_probability_intervals,
 )
-from gapextremes.limit_oracle import sample_limit_counts, sample_limit_maxima_locations
+from gapextremes.limit_oracle import (
+    _draw_latents,
+    sample_limit_counts,
+    sample_limit_maxima_locations,
+)
 from gapextremes.quadrature import rule_for
 from gapextremes.streams import substream
 from pairs import pair_cdf
-from reference import count_event_hits, lambda_mean, overall_max
+from reference import count_event_hits, lambda_mean, overall_loc, overall_max
 
 
 def _z(emp, theory, n):
@@ -29,17 +33,18 @@ def _z(emp, theory, n):
 
 def test_point_one_kills_missed_class():
     params = LimitLawParams(0.5, LambdaLaw.point(1.0))
-    s = sample_limit_counts(params, 1.0, [0.0], substream(1, 0, "t"), size=5000)
-    assert (s.missed == 0).all()
+    _, missed = sample_limit_counts(params, 1.0, [0.0], substream(1, 0, "t"), size=5000)
+    assert (missed == 0).all()
     m = sample_limit_maxima_locations(params, substream(1, 1, "t"), size=5000)
-    assert (m.missed_max == -math.inf).all()
-    assert np.array_equal(m.overall_loc, m.observed_loc)
+    _, missed_max, observed_loc, _ = m
+    assert (missed_max == -math.inf).all()
+    assert np.array_equal(overall_loc(m), observed_loc)
 
 
 def test_zero_measure_degenerates():
     params = LimitLawParams(0.5, LambdaLaw.uniform(0, 1))
-    s = sample_limit_counts(params, 0.0, [0.0, 1.0], substream(2, 0, "t"), size=2000)
-    assert (s.observed == 0).all() and (s.missed == 0).all()
+    observed, missed = sample_limit_counts(params, 0.0, [0.0, 1.0], substream(2, 0, "t"), size=2000)
+    assert (observed == 0).all() and (missed == 0).all()
 
 
 def test_levels_must_increase():
@@ -50,17 +55,18 @@ def test_levels_must_increase():
 
 def test_nesting_holds_pathwise():
     params = LimitLawParams(1.0, LambdaLaw.uniform(0, 1))
-    s = sample_limit_counts(params, 1.0, [-1.0, 0.0, 0.5, 2.0], substream(4, 0, "t"), size=20_000)
-    assert (np.diff(s.observed, axis=0) <= 0).all()
-    assert (np.diff(s.missed, axis=0) <= 0).all()
+    observed, missed = sample_limit_counts(params, 1.0, [-1.0, 0.0, 0.5, 2.0], substream(4, 0, "t"),
+                                           size=20_000)
+    assert (np.diff(observed, axis=0) <= 0).all()
+    assert (np.diff(missed, axis=0) <= 0).all()
 
 
 def test_joint_pmf_equivalence():
     # derived oracle pin: empirical joint pmf against the quadrature pmf
     params = LimitLawParams(0.5, LambdaLaw.uniform(0, 1))
     n = 300_000
-    s = sample_limit_counts(params, 0.5, [0.0, 1.0], substream(11, 0, "t"), size=n)
-    obs_x, mis_x, obs_y, mis_y = s.observed[1], s.missed[1], s.observed[0], s.missed[0]
+    observed, missed = sample_limit_counts(params, 0.5, [0.0, 1.0], substream(11, 0, "t"), size=n)
+    obs_x, mis_x, obs_y, mis_y = observed[1], missed[1], observed[0], missed[0]
     for cell in [(0, 0, 0, 0), (1, 0, 2, 1), (0, 1, 1, 1), (1, 1, 1, 1)]:
         k1, k2, k3, k4 = cell
         emp = float(np.mean((obs_x == k1) & (mis_x == k2) & (obs_y == k3) & (mis_y == k4)))
@@ -74,8 +80,8 @@ def test_order_stats_equivalence_via_counts():
     params = LimitLawParams(0.5, LambdaLaw.beta(2, 2))
     n = 300_000
     x, y = 0.0, 0.5
-    s = sample_limit_counts(params, 1.0, [x, y], substream(12, 0, "t"), size=n)
-    emp = float(np.mean((s.observed[0] <= 1) & (s.missed[1] <= 1)))
+    observed, missed = sample_limit_counts(params, 1.0, [x, y], substream(12, 0, "t"), size=n)
+    emp = float(np.mean((observed[0] <= 1) & (missed[1] <= 1)))
     theory = order_stats_obs_missed_cdf(params, 2, 2, x, y)
     assert abs(_z(emp, theory, n)) < 4.0
 
@@ -85,9 +91,9 @@ def test_vs_all_equivalence_via_counts():
     params = LimitLawParams(0.0, LambdaLaw.point(0.4))
     n = 300_000
     y, x = -0.1, 0.2
-    s = sample_limit_counts(params, 1.0, [y, x], substream(13, 0, "t"), size=n)
-    total_y = s.observed[0] + s.missed[0]
-    emp = float(np.mean((s.missed[1] <= 1) & (total_y <= 1)))
+    observed, missed = sample_limit_counts(params, 1.0, [y, x], substream(13, 0, "t"), size=n)
+    total_y = observed[0] + missed[0]
+    emp = float(np.mean((missed[1] <= 1) & (total_y <= 1)))
     theory = order_stats_vs_all_cdf(params, "missed", 2, 2, x, y)
     assert abs(_z(emp, theory, n)) < 4.0
 
@@ -114,8 +120,8 @@ def test_count_moments_match_mixed_poisson():
     law = LambdaLaw.beta(2, 2)
     params = LimitLawParams(gamma, law)
     n = 400_000
-    s = sample_limit_counts(params, measure, [x], substream(15, 0, "t"), size=n)
-    counts = s.observed[0]
+    observed, _ = sample_limit_counts(params, measure, [x], substream(15, 0, "t"), size=n)
+    counts = observed[0]
 
     rule = rule_for(law, 96, 96, steps=(g_step(gamma, x),))
     mu = rule.lam_col * measure * g_intensity(gamma, x, rule.z)
@@ -135,9 +141,11 @@ def test_conditional_independence_of_classes():
     # independent Poissons, so their correlation vanishes
     params = LimitLawParams(0.5, LambdaLaw.uniform(0, 1))
     n = 400_000
-    s = sample_limit_counts(params, 1.0, [0.0], substream(16, 0, "t"), size=n)
-    sel = (np.abs(s.lam - 0.5) < 0.05) & (np.abs(s.xi) < 0.1)
-    obs, mis = s.observed[0][sel], s.missed[0][sel]
+    observed, missed = sample_limit_counts(params, 1.0, [0.0], substream(16, 0, "t"), size=n)
+    # the sampler draws (lambda, xi) first: the same draws from an identical stream
+    lam, xi = _draw_latents(params, substream(16, 0, "t"), n)
+    sel = (np.abs(lam - 0.5) < 0.05) & (np.abs(xi) < 0.1)
+    obs, mis = observed[0][sel], missed[0][sel]
     assert sel.sum() > 2000
     corr = np.corrcoef(obs, mis)[0, 1]
     assert abs(corr) < 4.0 / math.sqrt(sel.sum())
@@ -145,10 +153,11 @@ def test_conditional_independence_of_classes():
 
 def test_locations_are_uniform():
     params = LimitLawParams(0.5, LambdaLaw.beta(2, 2))
-    m = sample_limit_maxima_locations(params, substream(17, 0, "t"), size=200_000)
-    assert stats.kstest(m.observed_loc, "uniform").pvalue > 0.01
-    assert stats.kstest(m.missed_loc, "uniform").pvalue > 0.01
-    assert (m.observed_loc > 0).all() and (m.observed_loc <= 1).all()
+    _, _, observed_loc, missed_loc = sample_limit_maxima_locations(
+        params, substream(17, 0, "t"), size=200_000)
+    assert stats.kstest(observed_loc, "uniform").pvalue > 0.01
+    assert stats.kstest(missed_loc, "uniform").pvalue > 0.01
+    assert (observed_loc > 0).all() and (observed_loc <= 1).all()
 
 
 def test_maxima_locations_equivalence():
@@ -156,18 +165,19 @@ def test_maxima_locations_equivalence():
     params = LimitLawParams(0.0, LambdaLaw.uniform(0, 1))
     n = 400_000
     m = sample_limit_maxima_locations(params, substream(18, 0, "t"), size=n)
+    observed_max, missed_max, observed_loc, missed_loc = m
     s, t, x, y = 0.4, 0.7, 0.0, 0.5
 
-    emp = float(np.mean((m.observed_loc <= s) & (m.missed_loc <= t)
-                        & (m.observed_max <= x) & (m.missed_max <= y)))
+    emp = float(np.mean((observed_loc <= s) & (missed_loc <= t)
+                        & (observed_max <= x) & (missed_max <= y)))
     assert abs(_z(emp, pair_cdf(params, "obs_missed", s, t, x, y), n)) < 4.0
 
-    emp = float(np.mean((m.observed_loc <= s) & (m.overall_loc <= t)
-                        & (m.observed_max <= x) & (overall_max(m) <= y)))
+    emp = float(np.mean((observed_loc <= s) & (overall_loc(m) <= t)
+                        & (observed_max <= x) & (overall_max(m) <= y)))
     assert abs(_z(emp, pair_cdf(params, "obs_all", s, t, x, y), n)) < 4.0
 
-    emp = float(np.mean((m.missed_loc <= s) & (m.overall_loc <= t)
-                        & (m.missed_max <= x) & (overall_max(m) <= y)))
+    emp = float(np.mean((missed_loc <= s) & (overall_loc(m) <= t)
+                        & (missed_max <= x) & (overall_max(m) <= y)))
     assert abs(_z(emp, pair_cdf(params, "missed_all", s, t, x, y), n)) < 4.0
 
 
@@ -187,8 +197,9 @@ def test_maxima_locations_of_classes(locs, heights):
     params = LimitLawParams(0.5, LambdaLaw.beta(2, 3))
     n = 400_000
     m = sample_limit_maxima_locations(params, substream(20, 0, "t"), size=n)
-    loc = {"observed": m.observed_loc, "missed": m.missed_loc, "all": m.overall_loc}
-    top = {"observed": m.observed_max, "missed": m.missed_max, "all": overall_max(m)}
+    observed_max, missed_max, observed_loc, missed_loc = m
+    loc = {"observed": observed_loc, "missed": missed_loc, "all": overall_loc(m)}
+    top = {"observed": observed_max, "missed": missed_max, "all": overall_max(m)}
     hits = np.ones(n, dtype=bool)
     for which, s in locs.items():
         hits &= loc[which] <= s
@@ -201,6 +212,7 @@ def test_maxima_race_probability():
     # P(observed class wins) = E[lambda] — the Gumbel race underlying the
     # overall-location laws
     law = LambdaLaw.beta(2, 3)
-    m = sample_limit_maxima_locations(LimitLawParams(1.0, law), substream(19, 0, "t"), size=400_000)
-    emp = float(np.mean(m.observed_max > m.missed_max))
+    observed_max, missed_max, _, _ = sample_limit_maxima_locations(
+        LimitLawParams(1.0, law), substream(19, 0, "t"), size=400_000)
+    emp = float(np.mean(observed_max > missed_max))
     assert abs(_z(emp, lambda_mean(law), 400_000)) < 4.0
