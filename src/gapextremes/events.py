@@ -16,11 +16,17 @@ observable the events mention, of two kinds: a class exceedance count
 over a family at a level, and a class argmax location.  Every term is a
 bound on one column, so an event is a conjunction of interval checks on
 the record, whichever sampler produced it.  Records are computed for a
-block of replications at once, one row each: at the levels u_n(x) only
-O(1) of the n values of a path exceed, so one scan of the block for the
-values above the lowest count level serves every count column.
-``tests/reference.py`` computes the same observables one at a time and is
-the reference the record is tested against.
+block of replications at once, one row each, as a *scan* and a *tally*.
+At the levels u_n(x) only O(1) of the n values of a path exceed, so the
+scan gives the points (row, index, height, observed) of the block above
+one scan level: the lowest count level, lowered to u_n(LOCATION_X) when a
+class is located.  The tally reads every column from the points: a count
+column counts the class points above its level in its family, and a
+location column takes the first maximum among a row's class points.  Only
+a row whose class has no point above the scan level takes the argmax of
+its class values in the block.  ``tests/reference.py``
+computes the same observables one at a time and is the reference the
+record is tested against.
 """
 from __future__ import annotations
 
@@ -35,6 +41,7 @@ from .extremes import CLASSES, IntervalFamily, LevelParams
 from .limit_laws import LimitLawParams
 
 __all__ = [
+    "LOCATION_X",
     "CountTerm",
     "LocationTerm",
     "Event",
@@ -109,6 +116,14 @@ class Event:
             raise ConfigError(f"event {self.event_id!r} has no terms")
 
 
+#: Scan level of a located class, u_n(LOCATION_X).  About e^3 ~ 20 values
+#: of an iid path exceed u_n(-3), so most rows hold their class maximum among
+#: the scanned points and only the others take a masked argmax.  At x = -2
+#: about 40 % of the rows of a one_factor block fell back and the record was
+#: slower than one masked argmax per class; x = -4 gained nothing more.
+LOCATION_X = -3.0
+
+
 class CompiledEvents:
     """Events bound to a path length, evaluated on one observable record
     per replication, for a block of replications at a time.
@@ -154,7 +169,11 @@ class CompiledEvents:
             ranges, u = spec
             edges = None if ranges == ((0, self.n),) else np.array(ranges).ravel()
             self._counts.append((col, which, edges, u))
-        self._floor = min((u for *_, u in self._counts), default=math.inf)
+        # the scan level: the lowest count level, and u_n(LOCATION_X) when a
+        # class is located
+        self._scan = min((u for *_, u in self._counts), default=math.inf)
+        if self._locations:
+            self._scan = min(self._scan, lp.level(LOCATION_X))
         self._cols = np.array(cols)
         self._lo, self._hi = np.array(limits, dtype=float).T
         self._starts = np.array(starts)
@@ -169,24 +188,38 @@ class CompiledEvents:
             return self.record(values[None], eps_bool[None])[0]
         rows = len(values)
         rec = np.empty((rows, len(self.observables)))
-        if self._counts:
-            # every count column counts a subset of the values above the
-            # lowest count level
-            row, index = np.divmod(np.flatnonzero(values > self._floor), values.shape[1])
-            height, observed = values[row, index], eps_bool[row, index]
-            member = {"all": True, "observed": observed, "missed": ~observed}
-            for col, which, edges, u in self._counts:
-                keep = (height > u) & member[which]
-                if edges is not None:
-                    keep &= np.searchsorted(edges, index, side="right") % 2 == 1
-                rec[:, col] = np.bincount(row[keep], minlength=rows)
+        # the scan: every value above the scan level, in row-major order
+        row, index = np.divmod(np.flatnonzero(values > self._scan), values.shape[1])
+        height, observed = values[row, index], eps_bool[row, index]
+        member = {"all": True, "observed": observed, "missed": ~observed}
+        # the tally: every count column counts a subset of the points ...
+        for col, which, edges, u in self._counts:
+            keep = (height > u) & member[which]
+            if edges is not None:
+                keep &= np.searchsorted(edges, index, side="right") % 2 == 1
+            rec[:, col] = np.bincount(row[keep], minlength=rows)
+        # ... and a location column takes the first maximum of each row's
+        # run of class points
         for col, which in self._locations:
-            # a class is the block with every non-member at -inf
-            arr = values if which == "all" else np.where(
-                eps_bool if which == "observed" else ~eps_bool, values, -np.inf)
-            top = arr.argmax(axis=1)
-            peak = arr[np.arange(rows), top]
-            rec[:, col] = np.where(peak > -np.inf, top + 1, np.inf)
+            r, i, h = row, index, height
+            if which != "all":
+                r, i, h = r[member[which]], i[member[which]], h[member[which]]
+            start = np.flatnonzero(np.diff(r, prepend=-1))
+            top = np.repeat(np.maximum.reduceat(h, start), np.diff(start, append=len(h)))
+            at_top = np.flatnonzero(h == top)
+            first = at_top[np.diff(r[at_top], prepend=-1) != 0]
+            rec[r[first], col] = i[first] + 1
+            # a row with no class point above the scan level takes the
+            # argmax of its class, every non-member at -inf
+            has_point = np.zeros(rows, dtype=bool)
+            has_point[r[start]] = True
+            below = np.flatnonzero(~has_point)
+            arr = values[below]
+            if which != "all":
+                np.copyto(arr, -np.inf, where=eps_bool[below] != (which == "observed"))
+            arg = arr.argmax(axis=1)
+            peak = arr[np.arange(len(below)), arg]
+            rec[below, col] = np.where(peak > -np.inf, arg + 1, np.inf)
         return rec
 
     def __call__(self, values: np.ndarray, eps_bool: np.ndarray) -> np.ndarray:

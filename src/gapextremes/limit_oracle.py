@@ -84,7 +84,8 @@ def sample_limit_maxima_locations(
     Given (lambda, xi) the observed maximum is Gumbel with location
     ln(lambda) - gamma + sqrt(2 gamma) xi (-inf when lambda = 0), the
     missed maximum the same with 1 - lambda, independent of each other;
-    locations are independent uniforms on (0, 1].  The overall maximum and
+    locations are independent uniforms on (0, 1], and +inf for an empty
+    class (a maximum of -inf), as the path record gives it.  The overall maximum and
     its location are inherited from the larger class maximum.
     """
     lam, xi = _draw_latents(params, stream, size)
@@ -96,4 +97,7 @@ def sample_limit_maxima_locations(
     del lam, drift  # freed before the locations are drawn: the peak is the draws
     observed_loc = 1.0 - stream.random(size)
     missed_loc = 1.0 - stream.random(size)
+    # an empty class (a maximum of -inf) has no location
+    observed_loc[observed_max == -np.inf] = np.inf
+    missed_loc[missed_max == -np.inf] = np.inf
     return observed_max, missed_max, observed_loc, missed_loc

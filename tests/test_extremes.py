@@ -7,8 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapextremes.errors import InvalidParameterError
-from gapextremes.events import CompiledEvents, CountTerm, Event, LocationTerm, order_stat
+from gapextremes.events import (
+    LOCATION_X,
+    CompiledEvents,
+    CountTerm,
+    Event,
+    LocationTerm,
+    order_stat,
+)
 from gapextremes.extremes import CLASSES, IntervalFamily, LevelParams, transformed_level
+from gapextremes.gaussian import CovarianceSpec, build_model, sample_path
 from reference import exceedance_counts, family_measure, kth_maximum, max_location
 
 # frozen from 40-digit evaluation of the definitions at n = 100
@@ -375,3 +383,104 @@ def test_block_record_matches_rows_and_reference(case, family, levels, k, value,
                 empty = loc is None or kth_maximum(v, e, which, 1) == -math.inf
                 expected = math.inf if empty else loc
             assert rec[col] == expected, (kind, which, spec)
+
+
+# ---------------------------------------------------------------------------
+# location columns: the first class maximum among the scanned points, or a
+# masked argmax for a row with no class point above u_n(LOCATION_X)
+
+
+def _locations(values, eps):
+    """The record's location columns of a block, one per class in CLASSES
+    order, and the reference's: +inf for an empty class or one whose
+    values are all -inf."""
+    events = [Event(which, (LocationTerm(which, 1.0),)) for which in CLASSES]
+    compiled = CompiledEvents(events, values.shape[1])
+    assert [obs[1] for obs in compiled.observables] == list(CLASSES)
+    expected = []
+    for v, e in zip(values, eps):
+        row = []
+        for which in CLASSES:
+            loc = max_location(v, e, which)
+            empty = loc is None or kth_maximum(v, e, which, 1) == -math.inf
+            row.append(math.inf if empty else loc)
+        expected.append(row)
+    return compiled.record(values, eps), np.array(expected, dtype=float)
+
+
+def _answered_from_points(values, eps, which):
+    """Rows whose class has a value above the scan level u_n(LOCATION_X)."""
+    mask = {"all": np.ones_like(eps), "observed": eps, "missed": ~eps}[which]
+    return ((values > LevelParams.for_length(values.shape[1]).level(LOCATION_X)) & mask).any(axis=1)
+
+
+def test_location_maximum_at_the_scan_level_falls_back():
+    # a class maximum exactly at u_n(LOCATION_X) does not exceed it: the row
+    # has no point, and the masked argmax finds the first of the two
+    n = 50
+    u = LevelParams.for_length(n).level(LOCATION_X)
+    values = np.full((1, n), u - 1.0)
+    eps = np.zeros((1, n), dtype=bool)
+    eps[0, [10, 20, 30]] = True
+    values[0, [10, 20]] = u
+    values[0, 40] = u - 0.5  # the missed maximum, also below the level
+    assert not _answered_from_points(values, eps, "all").any()
+    got, expected = _locations(values, eps)
+    assert np.array_equal(got, expected)
+    assert got[0].tolist() == [11, 41, 11]
+
+
+def test_location_tie_above_the_scan_level_takes_the_first_index():
+    n = 40
+    values = np.full((2, n), -1e3)
+    eps = np.zeros((2, n), dtype=bool)
+    eps[:, [3, 7, 9]] = True
+    values[:, [3, 7, 9, 12, 25]] = [4.0, 5.0, 5.0, 5.0, 5.0]  # observed 8 and 10, missed 13 and 26
+    values[1, 3] = 5.0  # in the second row the first observed value ties as well
+    assert _answered_from_points(values, eps, "observed").all()
+    got, expected = _locations(values, eps)
+    assert np.array_equal(got, expected)
+    assert got.tolist() == [[8, 13, 8], [4, 13, 4]]
+
+
+def test_location_block_mixes_points_and_fallback_rows():
+    n = 30
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((8, n))
+    eps = rng.random((8, n)) < 0.5
+    values[1] -= 20.0  # every class below the scan level
+    values[2, ~eps[2]] -= 20.0  # observed from points, missed from below
+    values[3, eps[3]] -= 20.0  # the other way round
+    eps[4] = False  # an empty observed class
+    values[5, ~eps[5]] = -np.inf  # a missed class at -inf
+    values[6, eps[6]] = np.inf  # an observed class at +inf, tied
+    values[7] = np.round(values[7])  # ties between and within classes
+    for which in CLASSES:
+        points = _answered_from_points(values, eps, which)
+        assert points.any() and not points.all(), which
+    got, expected = _locations(values, eps)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got, np.array([_locations(v[None], e[None])[0][0]
+                                         for v, e in zip(values, eps)]))
+
+
+def test_location_at_n_3_where_the_level_is_below_most_values():
+    u = LevelParams.for_length(3).level(LOCATION_X)
+    assert u < -1.0
+    rng = np.random.default_rng(6)
+    values = np.round(rng.standard_normal((400, 3)), 1)
+    eps = rng.random((400, 3)) < 0.5
+    assert (values > u).mean() > 0.85
+    got, expected = _locations(values, eps)
+    assert np.array_equal(got, expected)
+
+
+def test_location_of_log_decay_two_row_draws():
+    model = build_model(256, CovarianceSpec("log_decay", gamma=0.5))
+    rng = np.random.default_rng(7)
+    values = np.concatenate([sample_path(model, rng) for _ in range(20)])
+    eps = rng.random(values.shape) < 0.5
+    assert values.shape == (40, 256)
+    got, expected = _locations(values, eps)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got[:2], _locations(values[:2], eps[:2])[0])

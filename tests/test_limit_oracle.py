@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -158,6 +159,28 @@ def test_locations_are_uniform():
     assert stats.kstest(observed_loc, "uniform").pvalue > 0.01
     assert stats.kstest(missed_loc, "uniform").pvalue > 0.01
     assert (observed_loc > 0).all() and (observed_loc <= 1).all()
+
+
+@pytest.mark.parametrize("p, empty", [(0.0, "observed"), (1.0, "missed")])
+def test_empty_class_has_no_location(p, empty):
+    # a point law at 0 empties the observed class and one at 1 the missed
+    # class; its location is +inf, as in the path record, so its location
+    # cdf is 0 while the other classes stay uniform
+    params = LimitLawParams(0.5, LambdaLaw.point(p))
+    n = 100_000
+    m = sample_limit_maxima_locations(params, substream(21, 0, "t"), size=n)
+    _, _, observed_loc, missed_loc = m
+    loc = {"observed": observed_loc, "missed": missed_loc, "all": overall_loc(m)}
+    assert (loc[empty] == math.inf).all()
+    for which, s in itertools.product(loc, (0.25, 0.5, 1.0)):
+        theory = locations_heights_cdf(params, {which: s}, {})
+        emp = float(np.mean(loc[which] <= s))
+        if which == empty:
+            assert emp == theory == 0.0
+        elif s == 1.0:
+            assert emp == theory == 1.0
+        else:
+            assert abs(_z(emp, theory, n)) < 4.0
 
 
 def test_maxima_locations_equivalence():
