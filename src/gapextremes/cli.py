@@ -20,6 +20,7 @@ import os
 import sys
 
 from .errors import ConfigError, GapExtremesError
+from .gaussian import MAX_N
 from .harness import evaluate_theory, parse_config, report_csv, run_experiment, write_report
 from .oracle_suite import CheckRow, counts_suite, maxima_suite
 
@@ -66,7 +67,7 @@ def _load_config(args) -> "ExperimentConfig":
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, a byte not UTF-8, an integer of too many digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -109,6 +110,9 @@ def _cmd_oracle(args) -> int:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
     if not 0 < sigma < math.inf:  # NaN too
         raise ConfigError(f"--sigma must be positive and finite, got {sigma}")
+    if args.samples > MAX_N:  # refused before any draw, as a path that long is
+        raise MemoryError(
+            f"--samples {args.samples} exceeds {MAX_N}, beyond numpy's largest array")
     rows = counts_suite(samples=args.samples, seed=seed, sigma=sigma)
     rows += maxima_suite(samples=args.samples, seed=seed, sigma=sigma)
     out_dir = args.out if args.out is not None else "reports"

@@ -17,7 +17,8 @@ class NonEmbeddableCovarianceError(GapExtremesError, ValueError):
 
 class QuadratureConvergenceError(GapExtremesError, ArithmeticError):
     """Successive node-count doublings kept changing the integral by more
-    than the tolerance before the node budget was exhausted."""
+    than the tolerance before the node budget was exhausted, or a fraction
+    law has no finite Gauss rule."""
 
 
 class ConfigError(GapExtremesError, ValueError):

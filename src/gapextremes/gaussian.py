@@ -31,6 +31,7 @@ __all__ = [
     "FAMILIES",
     "CovarianceSpec",
     "GaussianModel",
+    "MAX_N",
     "build_model",
     "sample_path",
 ]
@@ -39,6 +40,11 @@ FAMILIES = ("one_factor", "log_decay")
 
 #: relative tolerance for clipping round-off negatives in the embedding spectrum
 SPECTRUM_CLIP_REL = 1e-8
+
+#: The largest n a model is built for: the log_decay embedding's noise,
+#: 2m < 8n float64 values, and a one-row block of the engine then fit
+#: numpy's largest array.
+MAX_N = np.iinfo(np.intp).max // 64
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,30 @@ class CovarianceSpec:
                 f"at every lag k >= 1, got {self.shift}"
             )
 
+    def check(self, n: int) -> None:
+        """Refuse a path length n by every check that needs no array:
+        InvalidParameterError for n too small, gamma >= ln n for one_factor,
+        or a log_decay lag correlation that is not finite or of modulus >= 1."""
+        if self.family == "one_factor":
+            if n < 3:
+                raise InvalidParameterError(f"one_factor requires n >= 3, got {n}")
+            if self.gamma >= math.log(n):
+                raise InvalidParameterError(
+                    f"one_factor requires gamma < ln n ({math.log(n):.6g}), got {self.gamma}"
+                )
+            return
+        if n < 2:
+            raise InvalidParameterError(f"need n >= 2, got {n}")
+        # shift > -1, so ln(k + shift) rises with k and is positive from k = 2
+        # on: |r_k| peaks at lag 1 or lag 2, and those two lags decide all
+        for k in range(1, min(n, 3)):
+            r = _log_decay_correlation(self.gamma, self.shift, k)
+            if not abs(r) < 1.0:  # NaN too
+                raise InvalidParameterError(
+                    f"log_decay correlation at lag {k} is {r:.6g}; |r_k| < 1 required "
+                    f"(gamma={self.gamma}, shift={self.shift})"
+                )
+
 
 @dataclass(frozen=True)
 class GaussianModel:
@@ -86,48 +116,28 @@ class GaussianModel:
 
 
 def _log_decay_correlation(gamma: float, shift: float, k) -> np.ndarray:
-    # ln(k + shift) = 0 gives an infinite or NaN r_k, which build_model refuses
+    # ln(k + shift) = 0 gives an infinite or NaN r_k, which CovarianceSpec.check refuses
     with np.errstate(divide="ignore", invalid="ignore"):
         return gamma / np.log(np.asarray(k, dtype=float) + shift)
 
 
 def build_model(n: int, spec: CovarianceSpec) -> GaussianModel:
-    """Validate parameters and precompute whatever sampling needs.
+    """Check (n, spec) and precompute whatever sampling needs.
 
     For log_decay this builds and spectrally validates the circulant
-    embedding of the covariance over the next power of two >= 2n.
-
-    Raises
-    ------
-    InvalidParameterError
-        n too small, gamma >= ln n for one_factor, or a log_decay lag
-        correlation that is not finite or has modulus >= 1.
-    NonEmbeddableCovarianceError
-        The embedding spectrum has an entry below -tol_clip or not finite.
+    embedding of the covariance over the next power of two >= 2n.  Raises
+    what ``spec.check(n)`` raises; MemoryError for n above MAX_N, before
+    anything is allocated; NonEmbeddableCovarianceError when the embedding
+    spectrum has an entry below -tol_clip or not finite.
     """
     n = int(n)
+    spec.check(n)
+    if n > MAX_N:
+        raise MemoryError(f"n = {n} exceeds {MAX_N}, beyond numpy's largest array")
     if spec.family == "one_factor":
-        if n < 3:
-            raise InvalidParameterError(f"one_factor requires n >= 3, got {n}")
-        if spec.gamma >= math.log(n):
-            raise InvalidParameterError(
-                f"one_factor requires gamma < ln n ({math.log(n):.6g}), got {spec.gamma}"
-            )
         return GaussianModel(n=n, spec=spec, rho_n=spec.gamma / math.log(n))
 
-    if n < 2:
-        raise InvalidParameterError(f"need n >= 2, got {n}")
-    # log_decay: the lag correlations themselves must be valid ...
-    lags = np.arange(1, n)
-    r = _log_decay_correlation(spec.gamma, spec.shift, lags)
-    bad = ~(np.abs(r) < 1.0)  # NaN too
-    if bad.any():
-        k = int(lags[bad][0])
-        raise InvalidParameterError(
-            f"log_decay correlation at lag {k} is {r[bad][0]:.6g}; |r_k| < 1 required "
-            f"(gamma={spec.gamma}, shift={spec.shift})"
-        )
-    # ... and the circulant embedding must be (numerically) psd.
+    # log_decay: the circulant embedding must be (numerically) psd
     m = 1 << (2 * n - 1).bit_length()
     row = np.empty(m)
     row[0] = 1.0

@@ -91,9 +91,12 @@ def _has_boolean(value) -> bool:
 
 def _integer(value, where: str) -> int:
     """An integer config value: a JSON integer, or an integral float such
-    as ``3000.0``.  A fractional or non-finite float is an error (``int``
-    would truncate it or overflow), and so is any other JSON type."""
+    as ``3000.0``, within the float range (the laws and the event bounds
+    compute with n, k and a count as floats).  A fractional or non-finite
+    float is an error (``int`` would truncate it or overflow), and so is any
+    other JSON type."""
     if isinstance(value, int) or (isinstance(value, float) and value.is_integer()):
+        _number(value, where)
         return int(value)
     raise ConfigError(f"{where} must be an integer, got {value!r}")
 
@@ -104,8 +107,9 @@ def _number(value, where: str) -> float:
     if isinstance(value, (int, float)):
         try:
             return float(value)
-        except OverflowError:  # an integer literal beyond the float range
-            pass
+        except OverflowError:  # named by its size: its digits may not print
+            raise ConfigError(f"{where} must fit a float (up to about 1.8e308), got an "
+                              f"integer of {value.bit_length()} bits") from None
     raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
@@ -202,9 +206,9 @@ def parse_event(doc: dict) -> Event:
 
 
 def _model(doc: dict) -> tuple[CovarianceSpec, int]:
-    """Covariance spec and path length of the model section, built once to
-    fail fast on a bad (n, spec).  The family ``iid`` is read as the model
-    it equals, one_factor at gamma = 0."""
+    """Covariance spec and path length of the model section, with (n, spec)
+    checked in O(1): the model is built only where paths are drawn.  The
+    family ``iid`` is read as the model it equals, one_factor at gamma = 0."""
     family, gamma = doc["family"], _number(doc.get("gamma", 0.0), "gamma")
     if family == "iid":
         if gamma != 0.0:
@@ -216,7 +220,7 @@ def _model(doc: dict) -> tuple[CovarianceSpec, int]:
             raise ConfigError("'shift' applies to the log_decay family only")
         spec_kwargs["shift"] = _number(doc["shift"], "shift")
     spec, n = CovarianceSpec(**spec_kwargs), _integer(doc["n"], "n")
-    build_model(n, spec)
+    spec.check(n)
     return spec, n
 
 

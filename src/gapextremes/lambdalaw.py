@@ -15,13 +15,14 @@ import numpy as np
 # the first theory evaluation instead of at start-up
 from numpy.polynomial.legendre import leggauss
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, QuadratureConvergenceError
 
 __all__ = ["LambdaLaw"]
 
 _KINDS = ("point", "discrete", "uniform", "beta")
 
 
+@np.errstate(all="ignore")  # a shape near 0 overflows; the rule is checked at the end
 def _beta_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule with ``n`` nodes for the Beta(alpha, beta) law on [0, 1].
 
@@ -30,8 +31,11 @@ def _beta_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarra
     by x -> (x+1)/2, where the density u^(alpha-1) (1-u)^(beta-1) needs
     a = beta-1 and b = alpha-1.  Each weight is the reciprocal of the
     Christoffel sum of the squared orthonormal polynomials at its node.
+    A shape so near 0 that the recurrence overflows (1e-20, say) has no
+    such rule, and QuadratureConvergenceError says so.
     """
-    a, b = beta - 1.0, alpha - 1.0
+    # numpy scalars: a division by 0 gives inf or NaN, not an exception
+    a, b = np.float64(beta) - 1.0, np.float64(alpha) - 1.0
     s, k = a + b, np.arange(1.0, n)
     c = 2.0 * k + s
     diag = np.empty(n)
@@ -42,14 +46,21 @@ def _beta_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarra
     k, c = k[1:], c[1:]
     off[1:] = 4.0 * k * (k + a) * (k + b) * (k + s) / (c * c * (c + 1.0) * (c - 1.0))
     diag, off = 0.5 * (diag + 1.0), 0.5 * np.sqrt(off)
-    u = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    if np.isfinite(diag).all() and np.isfinite(off).all():
+        u = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    else:  # eigvalsh would raise
+        u = np.full(n, np.nan)
     lower = np.concatenate(([0.0], off))
     prev, cur, total = np.zeros(n), np.ones(n), np.ones(n)
     for j in range(n - 1):
         prev, cur = cur, ((u - diag[j]) * cur - lower[j] * prev) / off[j]
         total += cur * cur
     w = 1.0 / total
-    return u, w / w.sum()
+    w /= w.sum()
+    if not (np.isfinite(u).all() and np.isfinite(w).all()):
+        raise QuadratureConvergenceError(
+            f"no Gauss rule of {n} nodes for Beta({alpha:g}, {beta:g}): its recurrence overflows")
+    return u, w
 
 
 @dataclass(frozen=True)

@@ -439,6 +439,8 @@ def finite_n_one_factor_prob(n: int, gamma: float, cells: CountCells, counts) ->
     if sum(no + nm for no, nm in counts) > n:
         raise InvalidParameterError("total cell counts exceed the path length")
     rho, t0 = gamma / math.log(n), -NormalDist().inv_cdf(1.0 / n)
+    if rho == 0.0:  # a subnormal gamma: the factor drops out, and its step
+        gamma = 0.0
     # caps -log Phi at -inf levels: a class without indices adds 0, not
     # 0 * inf, and n indices at the cap still sum to a finite mean
     cap = np.finfo(float).max / (n + 1)

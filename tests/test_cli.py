@@ -533,3 +533,109 @@ def test_commands_leave_scipy_special_unimported(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("report: ") == 7
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("n", [2 * 10**18, 10**20])
+@pytest.mark.parametrize("family", ["one_factor", "log_decay"])
+def test_simulation_past_the_largest_array_exits_2(tmp_path, capsys, command, n, family):
+    # past numpy's largest array (or int64) a path cannot even be shaped:
+    # the size is refused before the model is built or anything allocated
+    doc = copy.deepcopy(CONFIG)
+    doc["model"] = {"family": family, "n": n, "gamma": 0.5}
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: n = {n} exceeds ")
+    assert not out.exists()
+
+
+def test_oracle_past_the_largest_array_exits_2(tmp_path, capsys):
+    out = tmp_path / "oracle"
+    assert main(["oracle", "--samples", str(2 * 10**18), "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --samples {2 * 10**18} exceeds ")
+    assert not out.exists()
+
+
+NON_EMBEDDABLE = {"family": "log_decay", "n": 256, "gamma": 1.3}
+
+
+def test_evaluate_reports_the_limit_of_a_non_embeddable_covariance(tmp_path):
+    # the limit never uses the circulant embedding
+    doc = copy.deepcopy(CONFIG)
+    doc["model"] = NON_EMBEDDABLE
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--config", str(path), "--out", str(out)]) == 0
+    (json_path,) = [f for f in _reports_in(out) if f.endswith(".json")]
+    (row,) = json.loads((out / json_path).read_text())["rows"]
+    assert 0.0 < row["theory_limit"] < 1.0
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_non_embeddable_covariance_exits_2_where_paths_are_drawn(tmp_path, capsys, command,
+                                                                 workers):
+    doc = copy.deepcopy(CONFIG)
+    doc["model"] = NON_EMBEDDABLE
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path), "--out", str(out), "--workers", workers]) == 2
+    assert capsys.readouterr().err.startswith("error: embedding spectrum reaches ")
+    assert not out.exists()
+
+
+def _literal_config(tmp_path, field: str, literal: str) -> str:
+    """A config file whose ``field`` is the JSON text ``literal``, which
+    json.dumps could not write for an integer of more than 4300 digits."""
+    doc = copy.deepcopy(CONFIG)
+    doc["targets"].append({"id": "count", "terms": [
+        {"type": "count", "class": "observed", "intervals": [[0, 1]], "x": 0.0, "op": "le",
+         "value": 0}]})
+    placeholder = "__literal__"
+    if field == "n":
+        doc["model"]["n"] = placeholder
+    elif field == "k":
+        doc["targets"][0]["terms"][0]["k"] = placeholder
+    elif field == "value":
+        doc["targets"][1]["terms"][0]["value"] = placeholder
+    else:
+        doc[field] = placeholder
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc).replace(f'"{placeholder}"', literal))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "verify"])
+@pytest.mark.parametrize("field", ["n", "k", "value", "master_seed"])
+def test_an_integer_past_the_float_range_is_a_config_error(tmp_path, capsys, command, field):
+    # 1e400 overflowed 1.0 / n in the finite-n law and the event bounds
+    path = _literal_config(tmp_path, field, str(10**400))
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "must fit a float" in err, err
+    assert "1329 bits" in err
+    assert not out.exists()
+
+
+def test_a_master_seed_below_the_float_limit_is_accepted(tmp_path):
+    path = _literal_config(tmp_path, "master_seed", str(2**1023))
+    assert main(["evaluate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_an_integer_literal_of_5000_digits_is_a_config_error(tmp_path, capsys):
+    # json.load refuses more than 4300 digits with a plain ValueError (or
+    # reads it, on a Python without the limit, and the float check refuses it)
+    path = _literal_config(tmp_path, "n", "9" * 5000)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"model": "\xff"}')
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: config is not valid JSON: ")

@@ -218,3 +218,20 @@ def test_log_decay_halves_independent_and_each_matches_model_correlation():
         assert within_4se(np.mean(row**2, axis=1), 1.0)
         for k in (1, 2, 10):
             assert within_4se(np.mean(row[:, :-k] * row[:, k:], axis=1), model_correlation(model, k))
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 300])
+def test_log_decay_lag_check_agrees_with_a_scan_of_every_lag(n):
+    # |r_k| peaks at lag 1 or 2, so checking those two refuses exactly the
+    # specs that a scan of lags 1 .. n-1 refuses, and names the same lag
+    for gamma in np.linspace(0.0, 3.0, 31):
+        for shift in (-0.99, -0.5, 0.0, 0.5, math.e - 1.0, math.e, 6.0):
+            spec = CovarianceSpec("log_decay", gamma=gamma, shift=shift)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = gamma / np.log(np.arange(1, n) + shift)
+            bad = np.flatnonzero(~(np.abs(r) < 1.0))
+            if bad.size:
+                with pytest.raises(InvalidParameterError, match=f"at lag {bad[0] + 1} is "):
+                    spec.check(n)
+            else:
+                spec.check(n)

@@ -361,6 +361,40 @@ def test_finite_n_theory_at_a_path_length_beyond_memory():
     assert 0.0 < row.theory_finite_n < 1.0
 
 
+@pytest.mark.parametrize("gamma", [5e-324, 1e-300])
+def test_finite_n_theory_at_a_tiny_gamma(gamma):
+    # rho_n = gamma / ln n underflows to 0 at 5e-324, where the step of the
+    # factor rule divided by sqrt(rho_n); the factor drops out, as at gamma = 0
+    def finite(gamma):
+        config = parse_config(_config(model={"family": "one_factor", "n": 8, "gamma": gamma},
+                                      missingness={"kind": "periodic", "pattern": "10"},
+                                      targets=BASE_CONFIG["targets"][:1]))
+        (row,) = evaluate_theory(config).rows
+        return row.theory_finite_n
+
+    assert finite(gamma) == pytest.approx(finite(0.0), abs=1e-12)
+
+
+def _log_decay_joint_max(n):
+    return parse_config(_config(model={"family": "log_decay", "n": n, "gamma": 0.5},
+                                targets=BASE_CONFIG["targets"][:1]))
+
+
+def test_log_decay_limit_at_a_path_length_beyond_memory(monkeypatch):
+    # parsing checks (n, spec) in O(1) and the limit needs no path, so no
+    # model is built; the limit does not depend on n
+    monkeypatch.setattr(harness, "build_model", None)
+    tracemalloc.start()
+    try:
+        (row,) = evaluate_theory(_log_decay_joint_max(10**12)).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (small,) = evaluate_theory(_log_decay_joint_max(16384)).rows
+    assert row.theory_limit == small.theory_limit
+    assert peak < 2 * 2**20, peak
+
+
 def test_evaluate_theory_has_no_estimates():
     report = evaluate_theory(parse_config(_config()))
     assert all(row.p_hat is None and row.reps == 0 for row in report.rows)

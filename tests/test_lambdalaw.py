@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from gapextremes.errors import InvalidParameterError
+from gapextremes.errors import InvalidParameterError, QuadratureConvergenceError
 from gapextremes.lambdalaw import LambdaLaw
 from reference import complement, lambda_mean
 
@@ -126,3 +126,12 @@ def test_hashable_for_caching():
     assert hash(LambdaLaw.beta(2, 2)) == hash(LambdaLaw.beta(2, 2))
     d = {LambdaLaw.point(0.5): 1}
     assert d[LambdaLaw.point(0.5)] == 1
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e-20, 2.8), (9.6e-94, 2.8), (2.4e-123, 2.2e-308)])
+def test_a_beta_shape_near_zero_has_no_rule(alpha, beta):
+    # the recurrence overflows (at alpha + beta = 2.2e-308, s + 2 is 0):
+    # a named error, where numpy warned or Python divided by zero
+    with np.errstate(all="raise"):
+        with pytest.raises(QuadratureConvergenceError, match="no Gauss rule of 64 nodes"):
+            LambdaLaw.beta(alpha, beta).nodes(64)
