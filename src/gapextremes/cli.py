@@ -21,7 +21,8 @@ import sys
 
 from .errors import ConfigError, GapExtremesError
 from .gaussian import MAX_N
-from .harness import evaluate_theory, parse_config, report_csv, run_experiment, write_report
+from .harness import (ExperimentConfig, Z_THRESHOLD, evaluate_theory, parse_config, report_csv,
+                      run_experiment, write_report)
 from .oracle_suite import CheckRow, counts_suite, maxima_suite
 
 
@@ -57,11 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc = sub.add_parser("oracle", help="limit-sampler equivalence suites")
     add_common(p_orc, experiment=False)
     p_orc.add_argument("--samples", type=int, default=1_000_000, help="oracle sample count")
-    p_orc.set_defaults(func=_cmd_oracle)
+    p_orc.set_defaults(func=_cmd_oracle, seed=0, sigma=Z_THRESHOLD,
+                       out=ExperimentConfig.out_dir)
     return parser
 
 
-def _load_config(args) -> "ExperimentConfig":
+def _load_config(args) -> ExperimentConfig:
     try:
         with open(args.config) as fh:
             doc = json.load(fh)
@@ -102,22 +104,19 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    sigma = args.sigma if args.sigma is not None else 4.0
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-    if not 0 < sigma < math.inf:  # NaN too
-        raise ConfigError(f"--sigma must be positive and finite, got {sigma}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if not 0 < args.sigma < math.inf:  # NaN too
+        raise ConfigError(f"--sigma must be positive and finite, got {args.sigma}")
     if args.samples > MAX_N:  # refused before any draw, as a path that long is
         raise MemoryError(
             f"--samples {args.samples} exceeds {MAX_N}, beyond numpy's largest array")
-    rows = counts_suite(samples=args.samples, seed=seed, sigma=sigma)
-    rows += maxima_suite(samples=args.samples, seed=seed, sigma=sigma)
-    out_dir = args.out if args.out is not None else "reports"
-    os.makedirs(out_dir, exist_ok=True)
-    out_path = os.path.join(out_dir, f"oracle-{seed}-{args.samples}.csv")
+    rows = counts_suite(samples=args.samples, seed=args.seed, sigma=args.sigma)
+    rows += maxima_suite(samples=args.samples, seed=args.seed, sigma=args.sigma)
+    os.makedirs(args.out, exist_ok=True)
+    out_path = os.path.join(args.out, f"oracle-{args.seed}-{args.samples}.csv")
     with open(out_path, "w", newline="") as fh:
         fh.write(report_csv(CheckRow, rows))
     failures = [row for row in rows if not row.passed]

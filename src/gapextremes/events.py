@@ -37,7 +37,7 @@ import numpy as np
 
 from . import limit_laws
 from .errors import ConfigError
-from .extremes import CLASSES, IntervalFamily, LevelParams
+from .extremes import CLASSES, IntervalFamily, LevelParams, index_floor
 from .limit_laws import LimitLawParams
 
 __all__ = [
@@ -154,7 +154,7 @@ class CompiledEvents:
                     bounds = term.bounds
                 else:
                     key = ("location", term.which)
-                    bounds = (-math.inf, math.floor(term.s * self.n + 1e-9))
+                    bounds = (-math.inf, index_floor(self.n, term.s))  # the end of (0, s]
                 cols.append(columns.setdefault(key, len(columns)))
                 limits.append(bounds)
         self.observables = tuple(columns)

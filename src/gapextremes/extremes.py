@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 
-__all__ = ["CLASSES", "LevelParams", "IntervalFamily", "transformed_level"]
+__all__ = ["CLASSES", "MIN_N", "LevelParams", "IntervalFamily", "index_floor", "transformed_level"]
 
 CLASSES = ("observed", "missed", "all")
+MIN_N = 3  # the least path length of a model and of its levels
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,8 @@ class LevelParams:
     @classmethod
     def for_length(cls, n: int) -> "LevelParams":
         n = int(n)
-        if n < 3:
-            raise InvalidParameterError(f"levels need n >= 3, got {n}")
+        if n < MIN_N:
+            raise InvalidParameterError(f"levels need n >= {MIN_N}, got {n}")
         a = math.sqrt(2.0 * math.log(n))
         b = a - (math.log(math.log(n)) + math.log(4.0 * math.pi)) / (2.0 * a)
         return cls(n=n, a_n=a, b_n=b)
@@ -65,10 +66,12 @@ def transformed_level(n: int, x: float, z, gamma: float):
 _NUDGE = (1e-9).as_integer_ratio()
 
 
-def _index_floor(n: int, c: float) -> int:
+def index_floor(n: int, c: float) -> int:
     """floor(n c + 1e-9), exact in integers: beyond n = 2^53 the float
     product would round off the last indices.  The tiny nudge keeps the
-    floor stable when n c is an integer up to float rounding (0.3 * 10)."""
+    floor stable when n c is an integer up to float rounding (0.3 * 10),
+    but only while n times the rounding error of c is below 1e-9, up to
+    about n = 10^7: at n = 10^8, (0, 0.295] ends at 29 499 999."""
     (p, q), (a, b) = c.as_integer_ratio(), _NUDGE
     return (n * p * b + a * q) // (q * b)
 
@@ -104,4 +107,4 @@ class IntervalFamily:
 
     def index_ranges(self, n: int) -> list[tuple[int, int]]:
         """0-based half-open [lo, hi) ranges of member indices."""
-        return [(_index_floor(n, c), _index_floor(n, d)) for c, d in self.intervals]
+        return [(index_floor(n, c), index_floor(n, d)) for c, d in self.intervals]

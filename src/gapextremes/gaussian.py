@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError, NonEmbeddableCovarianceError
+from .extremes import MIN_N
 
 __all__ = [
     "FAMILIES",
@@ -78,21 +79,19 @@ class CovarianceSpec:
 
     def check(self, n: int) -> None:
         """Refuse a path length n by every check that needs no array:
-        InvalidParameterError for n too small, gamma >= ln n for one_factor,
+        InvalidParameterError for n below MIN_N, gamma >= ln n for one_factor,
         or a log_decay lag correlation that is not finite or of modulus >= 1."""
+        if n < MIN_N:
+            raise InvalidParameterError(f"{self.family} requires n >= {MIN_N}, got {n}")
         if self.family == "one_factor":
-            if n < 3:
-                raise InvalidParameterError(f"one_factor requires n >= 3, got {n}")
             if self.gamma >= math.log(n):
                 raise InvalidParameterError(
                     f"one_factor requires gamma < ln n ({math.log(n):.6g}), got {self.gamma}"
                 )
             return
-        if n < 2:
-            raise InvalidParameterError(f"need n >= 2, got {n}")
         # shift > -1, so ln(k + shift) rises with k and is positive from k = 2
         # on: |r_k| peaks at lag 1 or lag 2, and those two lags decide all
-        for k in range(1, min(n, 3)):
+        for k in (1, 2):
             r = _log_decay_correlation(self.gamma, self.shift, k)
             if not abs(r) < 1.0:  # NaN too
                 raise InvalidParameterError(

@@ -224,6 +224,9 @@ def _model(doc: dict) -> tuple[CovarianceSpec, int]:
     return spec, n
 
 
+Z_THRESHOLD = 4.0  # the pass/fail bound on |z| of a config or the oracle, unless given
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     spec: CovarianceSpec
@@ -233,7 +236,7 @@ class ExperimentConfig:
     reps: int
     master_seed: int
     workers: int = 1
-    sigma: float = 4.0
+    sigma: float = Z_THRESHOLD
     report_name: str = "report"
     out_dir: str = "reports"
 
@@ -293,7 +296,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if event.event_id in seen:
             raise ConfigError(f"config: duplicate event id {event.event_id!r}")
         seen.add(event.event_id)
-    sigma = _number(doc.get("sigma", 4.0), "config: sigma")
+    sigma = _number(doc.get("sigma", ExperimentConfig.sigma), "config: sigma")
     if not 0 < sigma < math.inf:  # NaN too
         raise ConfigError(f"config: sigma must be positive and finite, got {sigma}")
     return ExperimentConfig(
@@ -303,10 +306,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
         events=events,
         reps=_at_least(doc, "reps", 1),
         master_seed=_at_least(doc, "master_seed", 0),
-        workers=_at_least(doc, "workers", 1, 1),
+        workers=_at_least(doc, "workers", 1, ExperimentConfig.workers),
         sigma=sigma,
-        report_name=_string(doc.get("report_name", "report"), "config: report_name"),
-        out_dir=_string(doc.get("out_dir", "reports"), "config: out_dir"),
+        report_name=_string(doc.get("report_name", ExperimentConfig.report_name),
+                            "config: report_name"),
+        out_dir=_string(doc.get("out_dir", ExperimentConfig.out_dir), "config: out_dir"),
     )
 
 
@@ -330,7 +334,7 @@ def estimate_from_count(event_id: str, hits: int, reps: int) -> EstimateRecord:
 
 
 def compare_estimates(
-    est: EstimateRecord, theory: float, sigma_threshold: float = 4.0
+    est: EstimateRecord, theory: float, sigma_threshold: float = Z_THRESHOLD
 ) -> tuple[float, bool]:
     """z-score of the estimate against a theoretical probability and the
     pass flag at the sigma threshold.

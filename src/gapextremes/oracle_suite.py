@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import compare_estimates, estimate_from_count
+from .harness import Z_THRESHOLD, compare_estimates, estimate_from_count
 from .lambdalaw import LambdaLaw
 from .limit_laws import (
     LimitLawParams,
@@ -76,10 +76,7 @@ def _cell_index(columns, dims) -> np.ndarray:
 
 
 def counts_suite(
-    samples: int = 1_000_000,
-    seed: int = 0,
-    sigma: float = 4.0,
-    min_prob: float = 1e-4,
+    samples: int, seed: int, sigma: float = Z_THRESHOLD, min_prob: float = 1e-4
 ) -> list[CheckRow]:
     """Cellwise pmf agreement for every setting in COUNT_SETTINGS.
 
@@ -146,9 +143,7 @@ MAXIMA_ST_GRID = (0.25, 0.5, 0.75)
 MAXIMA_XY_GRID = (-0.5, 0.3, 1.2)
 
 
-def maxima_suite(
-    samples: int = 1_000_000, seed: int = 0, sigma: float = 4.0
-) -> list[CheckRow]:
+def maxima_suite(samples: int, seed: int, sigma: float = Z_THRESHOLD) -> list[CheckRow]:
     """Locations-and-heights grid of the two classes plus the location-only
     law of every two of the three classes."""
     params = MAXIMA_PARAMS

@@ -10,6 +10,7 @@ import pytest
 
 import gapextremes
 from gapextremes.cli import build_parser, main
+from gapextremes.harness import Z_THRESHOLD
 from gapextremes.oracle_suite import CheckRow
 
 CONFIG = {
@@ -434,6 +435,34 @@ def test_oracle_subcommand_small(tmp_path, capsys):
     assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"true"}
     stdout = capsys.readouterr().out
     assert "0 failed" in stdout
+
+
+def test_oracle_defaults_and_the_experiments_config_defaults(tmp_path, monkeypatch):
+    parser = build_parser()
+    args = parser.parse_args(["oracle"])
+    assert (args.samples, args.seed, args.sigma, args.out) == (1_000_000, 0, Z_THRESHOLD,
+                                                                "reports")
+    # an experiment's seed, sigma and output directory come from its config
+    args = parser.parse_args(["verify", "--config", "config.json"])
+    assert (args.seed, args.sigma, args.out) == (None, None, None)
+    monkeypatch.chdir(tmp_path)
+    assert main(["oracle", "--samples", "2000"]) == 0
+    assert os.listdir(tmp_path / "reports") == ["oracle-0-2000.csv"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate", "verify"])
+@pytest.mark.parametrize("family", ["iid", "one_factor", "log_decay"])
+def test_every_family_needs_n_at_least_3(tmp_path, capsys, command, family):
+    # one size rule for every family, checked as the config is read: no
+    # command gets to a limit, a level or a path at n = 2
+    doc = copy.deepcopy(CONFIG)
+    doc["model"] = {"family": family, "n": 2}
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    name = "one_factor" if family == "iid" else family
+    assert capsys.readouterr().err == f"config error: model: {name} requires n >= 3, got 2\n"
+    assert not out.exists()
 
 
 def test_wide_count_search_gives_no_theory_at_once(tmp_path):

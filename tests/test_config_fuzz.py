@@ -149,6 +149,10 @@ def _strict_json(path: str) -> dict:
 
 
 QUADRATURE_EXIT = re.compile(r"error: event '[^']*': (integral did not stabilize|no Gauss rule)")
+#: what else ``verify`` may refuse after parsing: a covariance that cannot be
+#: embedded, and a path length past numpy's largest array or past memory
+VERIFY_REFUSAL = re.compile(
+    r"error: (embedding spectrum reaches|n = \d+ exceeds|Unable to allocate)")
 
 
 def _fuzz_evaluate(max_examples: int) -> Counter:
@@ -191,7 +195,8 @@ def _fuzz_verify(max_examples: int) -> Counter:
             exits[code] += 1
             assert code in (0, 1, 2), (code, err)
             if code == 2:
-                assert err.startswith(("config error: ", "error: ")), err
+                assert (err.startswith("config error: ") or VERIFY_REFUSAL.match(err)
+                        or QUADRATURE_EXIT.match(err)), err
                 assert not reports, reports
                 return
             csv_path, json_path = reports

@@ -141,6 +141,20 @@ def test_compiled_events_empty_class_location_is_false():
     assert compiled(values, np.zeros(10, dtype=bool))[0]
 
 
+@pytest.mark.parametrize("n", [10, 1000, 10**8, 10**12])
+def test_location_bound_is_the_end_of_the_family_up_to_s(n):
+    # a location <= s keeps the indices of (0, s], by the interval rule:
+    # at n = 1e8 the float 0.295 is just below 0.295, and (0, 0.295] ends
+    # at 29 499 999, where floor(s n + 1e-9) gave 29 500 000.  The record
+    # is given, so no n-long path is built.
+    rng = np.random.default_rng(3)
+    for s in [0.295, 0.3, 0.5, 1.0, *rng.uniform(0.0, 1.0, 50)]:
+        compiled = CompiledEvents([Event("loc", (LocationTerm("all", float(s)),))], n)
+        (_, end), = IntervalFamily.of((0.0, s)).index_ranges(n)
+        compiled.record = lambda values, eps: np.array([[end], [end + 1]], dtype=float)
+        assert compiled(None, None)[:, 0].tolist() == [True, False], (n, s, end)
+
+
 # ---------------------------------------------------------------------------
 # limit-theory recognition
 

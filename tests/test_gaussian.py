@@ -223,10 +223,16 @@ def test_log_decay_halves_independent_and_each_matches_model_correlation():
 @pytest.mark.parametrize("n", [2, 3, 10, 300])
 def test_log_decay_lag_check_agrees_with_a_scan_of_every_lag(n):
     # |r_k| peaks at lag 1 or 2, so checking those two refuses exactly the
-    # specs that a scan of lags 1 .. n-1 refuses, and names the same lag
+    # specs that a scan of lags 1 .. n-1 refuses, and names the same lag;
+    # below n = 3 every spec is refused by its size, as one_factor's is
     for gamma in np.linspace(0.0, 3.0, 31):
         for shift in (-0.99, -0.5, 0.0, 0.5, math.e - 1.0, math.e, 6.0):
             spec = CovarianceSpec("log_decay", gamma=gamma, shift=shift)
+            if n < 3:
+                with pytest.raises(InvalidParameterError,
+                                   match=f"log_decay requires n >= 3, got {n}"):
+                    spec.check(n)
+                continue
             with np.errstate(divide="ignore", invalid="ignore"):
                 r = gamma / np.log(np.arange(1, n) + shift)
             bad = np.flatnonzero(~(np.abs(r) < 1.0))

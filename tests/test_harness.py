@@ -136,6 +136,15 @@ def test_config_hash_ignores_execution_only_keys():
     assert parse_config(_config(sigma=4.5)).hash() != base
 
 
+def test_optional_config_keys_default_to_the_dataclass_defaults():
+    doc = _config()
+    for key in ("workers", "sigma", "report_name", "out_dir"):
+        doc.pop(key, None)
+    config = parse_config(doc)
+    assert (config.workers, config.sigma, config.report_name, config.out_dir) == (
+        1, harness.Z_THRESHOLD, "report", "reports")
+
+
 # ---------------------------------------------------------------------------
 # estimates
 
