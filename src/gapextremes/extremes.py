@@ -44,22 +44,14 @@ class LevelParams:
         return x / self.a_n + self.b_n
 
 
-def transformed_level(n: int, x: float, z, gamma: float):
+def transformed_level(norming: LevelParams, rho: float, x: float, z):
     """Level seen by the independent comparison coordinates of the
-    one-factor model given factor value ``z``:
-    (u_n(x) - sqrt(rho_n) z) / sqrt(1 - rho_n) with rho_n = gamma / ln n.
-    ``z`` may be an array of factor values; the result is then an array of
-    its shape.
+    one-factor model of correlation ``rho`` given factor value ``z``:
+    (u_n(x) - sqrt(rho) z) / sqrt(1 - rho), u_n from ``norming``.  ``z``
+    may be an array of factor values; the result is then an array of its
+    shape.
     """
-    if gamma < 0.0:
-        raise InvalidParameterError(f"gamma must be >= 0, got {gamma}")
-    lp = LevelParams.for_length(n)
-    if gamma >= math.log(n):
-        raise InvalidParameterError(
-            f"need gamma < ln n ({math.log(n):.6g}), got {gamma}"
-        )
-    rho = gamma / math.log(n)
-    return (lp.level(x) - math.sqrt(rho) * z) / math.sqrt(1.0 - rho)
+    return (norming.level(x) - math.sqrt(rho) * z) / math.sqrt(1.0 - rho)
 
 
 #: 1e-9 as the ratio of integers its float equals

@@ -99,6 +99,12 @@ class CovarianceSpec:
                     f"(gamma={self.gamma}, shift={self.shift})"
                 )
 
+    def rho_n(self, n: int) -> float:
+        """The one_factor correlation gamma / ln n at path length n, after
+        ``check(n)``: the sampler's and the exact finite-n law's alike."""
+        self.check(n)
+        return self.gamma / math.log(n)
+
 
 @dataclass(frozen=True)
 class GaussianModel:
@@ -134,7 +140,7 @@ def build_model(n: int, spec: CovarianceSpec) -> GaussianModel:
     if n > MAX_N:
         raise MemoryError(f"n = {n} exceeds {MAX_N}, beyond numpy's largest array")
     if spec.family == "one_factor":
-        return GaussianModel(n=n, spec=spec, rho_n=spec.gamma / math.log(n))
+        return GaussianModel(n=n, spec=spec, rho_n=spec.rho_n(n))
 
     # log_decay: the circulant embedding must be (numerically) psd
     m = 1 << (2 * n - 1).bit_length()

@@ -30,8 +30,9 @@ A cdf factor P(N <= k) is the finite sum of its pmfs up to k =
 the log form exp(k log mu - mu - log k!), whose bits the tests pin.
 The order-statistic, joint-count and void evaluators wrap it, and so does
 the exact finite-n void identity of the one-factor model: -log Phi of the
-factor-shifted level in place of g, each atom's class counts in place of
-lam |atom|, under the unit fraction law and with its own steps.
+factor-shifted level (``extremes.transformed_level`` at the sampler's
+rho_n, ``CovarianceSpec.rho_n``) in place of g, each atom's class counts
+in place of lam |atom|, under the unit fraction law and with its own steps.
 
 The locations-and-heights law of any located classes is a batch of two
 race terms, one per class that may carry the overall maximum; the
@@ -52,6 +53,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .extremes import CLASSES, LevelParams, transformed_level
+from .gaussian import CovarianceSpec
 from .lambdalaw import LambdaLaw
 from .quadrature import QuadratureRule, converge
 
@@ -425,12 +427,11 @@ def finite_n_one_factor_prob(n: int, gamma: float, cells: CountCells, counts) ->
     band-cell law on the void row, with -log Phi(t) in place of g and the
     class counts in place of lam |atom|, under the unit fraction law: its
     factors telescope to E_z prod Phi(t)^count at each atom's lowest
-    level per class.
+    level per class.  rho_n and its rule gamma < ln n are the sampler's,
+    ``CovarianceSpec.rho_n``, at any n the rule accepts.
     """
     n = int(n)
-    norming = LevelParams.for_length(n)  # n >= 3
-    if gamma < 0.0 or gamma >= math.log(n):
-        raise InvalidParameterError(f"need 0 <= gamma < ln n, got gamma={gamma}, n={n}")
+    rho = CovarianceSpec("one_factor", gamma).rho_n(n)  # n >= 3, 0 <= gamma < ln n
     counts = [(int(no), int(nm)) for no, nm in counts]
     if len(counts) != len(cells.atoms):
         raise InvalidParameterError(f"need {len(cells.atoms)} atom counts, got {len(counts)}")
@@ -438,20 +439,21 @@ def finite_n_one_factor_prob(n: int, gamma: float, cells: CountCells, counts) ->
         raise InvalidParameterError("cell counts must be nonnegative")
     if sum(no + nm for no, nm in counts) > n:
         raise InvalidParameterError("total cell counts exceed the path length")
-    rho, t0 = gamma / math.log(n), -NormalDist().inv_cdf(1.0 / n)
+    norming, t0 = LevelParams.for_length(n), -NormalDist().inv_cdf(1.0 / n)
+    root, co_root = math.sqrt(rho), math.sqrt(1.0 - rho)
     if rho == 0.0:  # a subnormal gamma: the factor drops out, and its step
         gamma = 0.0
     # caps -log Phi at -inf levels: a class without indices adds 0, not
     # 0 * inf, and n indices at the cap still sum to a finite mean
     cap = np.finfo(float).max / (n + 1)
 
-    def neg_log_phi(g, x, z):
-        return np.minimum(-_log_ndtr(transformed_level(n, x, z, g)), cap)
+    def neg_log_phi(_, x, z):
+        with np.errstate(over="ignore"):  # near -1e308 t or log Phi(t) is -inf, rightly
+            return np.minimum(-_log_ndtr(transformed_level(norming, rho, x, z)), cap)
 
     def step(_, x):
         # n (1 - Phi(t)) = 1 at t0, and falls by e every 1 / t0 past it
-        return ((norming.level(x) - math.sqrt(1.0 - rho) * t0) / math.sqrt(rho),
-                math.sqrt(1.0 - rho) / (t0 * math.sqrt(rho)))
+        return (norming.level(x) - co_root * t0) / root, co_root / (t0 * root)
 
     weights = {(atom, which): k for atom, pair in enumerate(counts)
                for which, k in zip(("observed", "missed"), pair)}

@@ -83,12 +83,13 @@ def _lam_nodes(law: LambdaLaw, m: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class QuadratureRule:
     """Tensor rule: E over the fraction law in rows, dPhi(z) in columns.
-    ``steps`` are the (centre, width) steps the z nodes are aligned to;
-    ``rows`` holds the flat indices of the batch elements still pending
-    under ``converge`` (None on a rule built outside it)."""
+    ``n_z`` sets both: ``n_z / PANELS`` nodes per z panel, and a fraction
+    rule of ``n_z`` nodes (an atomic law keeps its atoms).  ``steps`` are
+    the (centre, width) steps the z nodes are aligned to; ``rows`` holds
+    the flat indices of the batch elements still pending under
+    ``converge`` (None on a rule built outside it)."""
 
     n_z: int
-    n_lambda: int
     z: np.ndarray = field(repr=False, compare=False)
     z_weights: np.ndarray = field(repr=False, compare=False)
     lam: np.ndarray = field(repr=False, compare=False)
@@ -102,7 +103,7 @@ class QuadratureRule:
         return self.lam[:, None]
 
     def expect(self, values: np.ndarray) -> float:
-        """Contract a (n_lambda, n_z) or (n_z,) array of integrand values."""
+        """Contract a (fraction nodes, z nodes) or (z nodes,) array of integrand values."""
         values = np.asarray(values)
         if values.ndim == 1:
             return float(self.z_weights @ values)
@@ -118,14 +119,12 @@ class QuadratureRule:
         return f"{z} x {self.lam.size} fraction nodes"
 
 
-def rule_for(law: LambdaLaw, n_z: int, n_lambda: int, steps: tuple) -> QuadratureRule:
+def rule_for(law: LambdaLaw, n_z: int, steps: tuple) -> QuadratureRule:
     """The z rule aligned to ``steps``, with ``n_z / PANELS`` nodes per
-    panel, times the fraction rule of ``n_lambda`` nodes."""
+    panel, times the fraction rule of ``n_z`` nodes."""
     z, wz = _stepped_nodes(n_z, steps)
-    lam, wl = _lam_nodes(law, n_lambda)
-    return QuadratureRule(
-        n_z=n_z, n_lambda=n_lambda, z=z, z_weights=wz, lam=lam, lam_weights=wl, steps=steps
-    )
+    lam, wl = _lam_nodes(law, n_z)
+    return QuadratureRule(n_z=n_z, z=z, z_weights=wz, lam=lam, lam_weights=wl, steps=steps)
 
 
 def converge(law: LambdaLaw, evaluate, steps: tuple, shape: tuple):
@@ -145,7 +144,7 @@ def converge(law: LambdaLaw, evaluate, steps: tuple, shape: tuple):
     previous, result = np.full(rows.size, np.nan), np.empty(rows.size)
     m = DEFAULT_NODES
     while m <= MAX_NODES:
-        rule = dataclasses.replace(rule_for(law, m, m, steps), rows=rows)
+        rule = dataclasses.replace(rule_for(law, m, steps), rows=rows)
         current = np.asarray(evaluate(rule), dtype=float).reshape(rows.size)
         settled = np.abs(current - previous[rows]) < CONVERGENCE_TOL  # none on the first rule
         result[rows[settled]] = current[settled]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -577,6 +578,28 @@ def test_simulation_past_the_largest_array_exits_2(tmp_path, capsys, command, n,
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: n = {n} exceeds ")
     assert not out.exists()
+
+
+def test_evaluate_gives_finite_n_values_past_the_largest_array(tmp_path, capsys):
+    # the exact law reads rho_n from the model's rule, not from a built
+    # model, so it has a value where verify and simulate refuse n; a count
+    # level near -1e308 gives 0, without a warning
+    doc = copy.deepcopy(CONFIG)
+    doc["model"] = {"family": "one_factor", "n": 2 * 10**18, "gamma": 1.0}
+    doc["missingness"] = {"kind": "periodic", "pattern": "110"}
+    doc["targets"].append({"id": "deep", "terms": [
+        {"type": "count", "class": "observed", "intervals": [[0.0, 1.0]], "x": -1e308,
+         "op": "le", "value": 0}]})
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evaluate", "--config", str(path), "--out", str(out)]) == 0
+    assert not capsys.readouterr().err
+    (json_path,) = [f for f in _reports_in(out) if f.endswith(".json")]
+    void, deep = json.loads((out / json_path).read_text())["rows"]
+    assert void["theory_finite_n"] == pytest.approx(0.636810, abs=1e-6)
+    assert deep["theory_finite_n"] == 0.0
 
 
 def test_oracle_past_the_largest_array_exits_2(tmp_path, capsys):

@@ -40,18 +40,13 @@ def test_level_needs_n_at_least_3():
 def test_transformed_level_gamma_zero_is_identity():
     lp = LevelParams.for_length(50)
     for x, z in [(0.0, 0.0), (1.5, -2.0), (-0.7, 3.0)]:
-        assert transformed_level(50, x, z, 0.0) == pytest.approx(lp.level(x), abs=1e-14)
+        assert transformed_level(lp, 0.0, x, z) == pytest.approx(lp.level(x), abs=1e-14)
 
 
 def test_transformed_level_frozen_value():
-    got = transformed_level(100, 0.0, 0.0, 1.0)
+    got = transformed_level(LevelParams.for_length(100), RHO_100, 0.0, 0.0)
     assert got == pytest.approx(B_100 / math.sqrt(1.0 - RHO_100), abs=1e-6)
     assert got == pytest.approx(2.6743698245869211, abs=1e-9)
-
-
-def test_transformed_level_gamma_too_large():
-    with pytest.raises(InvalidParameterError):
-        transformed_level(100, 0.0, 0.0, math.log(100))
 
 
 def test_transformed_level_asymptotic_intensity():
@@ -61,7 +56,7 @@ def test_transformed_level_asymptotic_intensity():
     from scipy.special import ndtr
 
     n, x, z, gamma = 10**6, 0.0, 1.0, 1.0
-    u = transformed_level(n, x, z, gamma)
+    u = transformed_level(LevelParams.for_length(n), gamma / math.log(n), x, z)
     target = math.exp(-x - gamma + math.sqrt(2 * gamma) * z)
     rel_gap = abs(n * (1.0 - ndtr(u)) - target) / target
     assert rel_gap < 0.01

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gapextremes.errors import ConfigError, InvalidParameterError, NonEmbeddableCovarianceError
-from gapextremes.gaussian import CovarianceSpec, build_model, sample_path
+from gapextremes.gaussian import MAX_N, CovarianceSpec, build_model, sample_path
 from gapextremes.harness import parse_config
 from reference import model_correlation
 
@@ -43,6 +43,24 @@ def test_one_factor_precondition_boundary():
         build_model(2, CovarianceSpec("one_factor", gamma=1.0))
     with pytest.raises(InvalidParameterError):
         build_model(100, CovarianceSpec("one_factor", gamma=math.log(100)))
+
+
+def test_rho_n_gamma_too_large():
+    # the one rule of the sampler and the exact finite-n law
+    spec = CovarianceSpec("one_factor", gamma=math.log(100))
+    with pytest.raises(InvalidParameterError, match=r"one_factor requires gamma < ln n \(4\.60517\)"):
+        spec.rho_n(100)
+    assert spec.rho_n(101) == math.log(100) / math.log(101)
+
+
+def test_rho_n_beyond_the_largest_model():
+    # the law reads rho_n at any n the check accepts, past MAX_N as well
+    spec = CovarianceSpec("one_factor", gamma=1.0)
+    n = 2 * 10**18
+    assert n > MAX_N
+    assert spec.rho_n(n) == 1.0 / math.log(n)
+    with pytest.raises(MemoryError):
+        build_model(n, spec)
 
 
 def test_iid_requires_zero_gamma():

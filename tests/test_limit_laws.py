@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -372,13 +373,27 @@ def test_finite_n_independence_case():
 def test_finite_n_validation():
     with pytest.raises(InvalidParameterError):
         finite_n_cells_prob(100, 0.0, [(60, 50, 0.0, 0.0)])
-    with pytest.raises(InvalidParameterError):
+    # the sampler's rule, CovarianceSpec.rho_n, with its message
+    with pytest.raises(InvalidParameterError, match=r"one_factor requires gamma < ln n \(4\.60517\)"):
         finite_n_cells_prob(100, math.log(100), [(10, 10, 0.0, 0.0)])
     with pytest.raises(InvalidParameterError):
         finite_n_cells_prob(100, 0.0, [(-1, 5, 0.0, 0.0)])
     whole = limit_laws.compile_counts([("observed", ((0.0, 1.0),), 0.0)])
     with pytest.raises(InvalidParameterError):  # one (n_obs, n_miss) pair per atom
         limit_laws.finite_n_one_factor_prob(100, 0.0, whole, [(10, 10), (5, 5)])
+
+
+@pytest.mark.parametrize("x", [-1e200, -1e308], ids=["x=-1e200", "x=-1e308"])
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 0.9999 * math.log(1000)],
+                         ids=["gamma=0", "gamma=1", "gamma=0.9999ln(n)"])
+def test_finite_n_at_a_level_near_the_float_minimum(x, gamma):
+    # log Phi(t) squares t, which overflows below about -1e154, and near
+    # gamma = ln n the map's divide by sqrt(1 - rho) overflows too; both give
+    # -inf, so a class with indices at the level is never void
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert finite_n_cells_prob(1000, gamma, [(10, 10, x, 0.0)]) == 0.0
+        assert finite_n_cells_prob(1000, gamma, [(10, 10, 0.0, x)]) == 0.0
 
 
 def test_finite_n_against_one_factor_simulation():

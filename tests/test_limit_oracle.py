@@ -124,7 +124,7 @@ def test_count_moments_match_mixed_poisson():
     observed, _ = sample_limit_counts(params, measure, [x], substream(15, 0, "t"), size=n)
     counts = observed[0]
 
-    rule = rule_for(law, 96, 96, steps=(g_step(gamma, x),))
+    rule = rule_for(law, 96, steps=(g_step(gamma, x),))
     mu = rule.lam_col * measure * g_intensity(gamma, x, rule.z)
     mean_theory = rule.expect(mu)
     var_theory = mean_theory + rule.expect(mu**2) - mean_theory**2

@@ -11,16 +11,16 @@ from gapextremes.quadrature import converge, rule_for
 
 @pytest.mark.parametrize("law", [LambdaLaw.point(0.5), LambdaLaw.uniform(0, 1), LambdaLaw.beta(2, 2)])
 def test_weights_normalized(law):
-    rule = rule_for(law, 64, 64, steps=())
+    rule = rule_for(law, 64, steps=())
     assert rule.lam_weights.sum() == pytest.approx(1.0, abs=1e-15)
     # doubling the node count moves the integral of 1 by < 1e-14
-    bigger = rule_for(law, 128, 128, steps=())
+    bigger = rule_for(law, 128, steps=())
     assert abs(rule.expect(np.ones((rule.lam.size, rule.z.size))) - 1.0) < 1e-14
     assert abs(bigger.expect(np.ones((bigger.lam.size, bigger.z.size))) - 1.0) < 1e-14
 
 
 def test_gaussian_moments_exact():
-    rule = rule_for(LambdaLaw.point(1.0), 64, 1, steps=((0.0, 1.0),))
+    rule = rule_for(LambdaLaw.point(1.0), 64, steps=((0.0, 1.0),))
     assert rule.expect(rule.z) == pytest.approx(0.0, abs=1e-13)
     assert rule.expect(rule.z**2) == pytest.approx(1.0, abs=1e-12)
     assert rule.expect(rule.z**4) == pytest.approx(3.0, abs=1e-11)
@@ -38,7 +38,7 @@ def test_converge_returns_stable_value():
 
     step = (g_step(1.0, 0.0),)
     value = converge(law, evaluate, steps=step, shape=(1,))[0]
-    finer = evaluate(rule_for(law, 512, 512, steps=step))
+    finer = evaluate(rule_for(law, 512, steps=step))
     assert value == pytest.approx(finer, abs=1e-9)
 
 
@@ -55,8 +55,8 @@ def test_converge_escalates_then_errors():
 
 
 def test_rules_are_cached_and_immutable():
-    a = rule_for(LambdaLaw.beta(2, 2), 64, 64, steps=())
-    b = rule_for(LambdaLaw.beta(2, 2), 64, 64, steps=())
+    a = rule_for(LambdaLaw.beta(2, 2), 64, steps=())
+    b = rule_for(LambdaLaw.beta(2, 2), 64, steps=())
     assert a.lam is b.lam
     with pytest.raises(ValueError):
         a.z[0] = 0.0
@@ -108,18 +108,18 @@ def test_converge_one_unsettled_element_raises():
 
 def test_stepped_rule_cuts_panels_at_each_step():
     # 8 uniform panels on [-10, 10] plus c + j w, j = -6..3: 18 panels
-    rule = rule_for(LambdaLaw.point(1.0), 64, 1, steps=((0.3, 0.2),))
+    rule = rule_for(LambdaLaw.point(1.0), 64, steps=((0.3, 0.2),))
     assert rule.z.size == 18 * 8 and rule.steps == ((0.3, 0.2),)
     assert abs(rule.z_weights.sum() - 1.0) < 1e-11
-    finer = rule_for(LambdaLaw.point(1.0), 128, 1, steps=((0.3, 0.2),))
+    finer = rule_for(LambdaLaw.point(1.0), 128, steps=((0.3, 0.2),))
     assert finer.z.size == 18 * 16 and abs(finer.z_weights.sum() - 1.0) < 1e-15
     # breakpoints outside [-10, 10] are clipped, and shared ones count once
-    rule = rule_for(LambdaLaw.point(1.0), 64, 1, steps=((20.0, 0.2), (0.0, 2.5)))
+    rule = rule_for(LambdaLaw.point(1.0), 64, steps=((20.0, 0.2), (0.0, 2.5)))
     assert rule.z.size == 8 * 8
 
 
 def test_stepped_rule_without_steps_has_one_node():
-    rule = rule_for(LambdaLaw.uniform(0, 1), 128, 128, steps=())
+    rule = rule_for(LambdaLaw.uniform(0, 1), 128, steps=())
     assert rule.z.tolist() == [0.0] and rule.z_weights.tolist() == [1.0]
     assert rule.lam.size == 128
 
